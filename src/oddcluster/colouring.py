@@ -249,6 +249,7 @@ def _colour_component(g, h, d, dec, cap, prefix):
     sub_size = colour_budget(h - 1)
     raw = {0: 0}
     scope = {0: f"{prefix}/L0"}
+    pattern = None  # U_{h-1,d}, built when a layer first needs it
     for i in range(1, len(layering.layers)):
         layer = layering.layers[i]
         u_i = layer[0]
@@ -263,7 +264,8 @@ def _colour_component(g, h, d, dec, cap, prefix):
         gi, region_map = induced_subgraph(g, region)
         region_to_local = {v: k for k, v in enumerate(region_map)}
         dec_i = restrict_decomposition(dec, region_to_local)
-        pattern = u_graph(h - 1, d)
+        if pattern is None:
+            pattern = u_graph(h - 1, d)
         memo = {}
 
         def oracle(reg, _gi=gi, _pattern=pattern, _memo=memo):

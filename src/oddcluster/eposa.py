@@ -4,7 +4,7 @@ Given an exact oracle for connected target subgraphs, either collect ``ell``
 pairwise disjoint targets, or return a hitting set of size at most
 (ell-1) * (width+1) after which the oracle finds nothing.
 
-The procedure walks the normalized rooted decomposition in post-order and
+The procedure walks the rooted decomposition in post-order and
 repeatedly takes a deepest node whose subtree region still holds a target;
 it records the target, adds the node's (surviving) bag to the hitting set
 and deletes the whole subtree region.  Recorded targets live in regions

@@ -73,18 +73,17 @@ class RootedTree:
         rootset = set(self.roots)
         if rootset & set(self.parent):
             raise ValueError("a root cannot also have a parent")
-        verts = rootset | set(self.parent)
-        # check acyclicity / reachability of a root from every vertex
+        # every vertex must reach a root; vertices already known to reach one
+        # end later walks, so each vertex is walked over once
+        reaches_root = set(rootset)
         for v in self.parent:
-            seen = set()
-            while v not in rootset:
-                if v in seen or v not in self.parent:
+            walk = set()
+            while v not in reaches_root:
+                if v in walk or v not in self.parent:
                     raise ValueError("parent map contains a cycle or dangling vertex")
-                seen.add(v)
+                walk.add(v)
                 v = self.parent[v]
-        for p in self.parent.values():
-            if p not in verts:
-                raise ValueError(f"parent {p} is not a vertex of the forest")
+            reaches_root |= walk
 
     def vertices(self):
         return set(self.roots) | set(self.parent)
@@ -113,19 +112,6 @@ class RootedTree:
         if not self.vertices():
             return 0
         return 1 + max(self.depth(v) for v in self.vertices())
-
-    def root_of(self, v):
-        while v in self.parent:
-            v = self.parent[v]
-        return v
-
-    def is_strict_ancestor(self, a, v):
-        """True if a lies on the path from v's root to v and a != v."""
-        while v in self.parent:
-            v = self.parent[v]
-            if v == a:
-                return True
-        return False
 
     def __repr__(self):
         return f"RootedTree(roots={self.roots}, edges={len(self.parent)})"
@@ -241,7 +227,7 @@ def induced_subgraph(g, xs):
         if not 0 <= v < g.n:
             raise ValueError(f"invalid vertex {v}")
     pos = {v: i for i, v in enumerate(xs)}
-    edges = [(pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos]
+    edges = [(pos[a], pos[b]) for a in xs for b in g.adj[a] if a < b and b in pos]
     return Graph(len(xs), edges), xs
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -250,3 +251,35 @@ class TestPipeline:
     def test_rejects_bad_partition(self):
         with pytest.raises(ValueError):
             colour_pipeline(cycle_graph(4), Graph(2, [(0, 1)]), partition=["r", "b"])
+
+
+def ladder(length):
+    """Triangulated 2 x ``length`` strip listed in path order (treewidth 2)."""
+    edges = []
+    for i in range(length):
+        a, b = 2 * i, 2 * i + 1
+        edges.append((a, b))
+        if i + 1 < length:
+            edges += [(a, a + 2), (b, b + 2), (a, b + 2)]
+    return Graph(2 * length, edges)
+
+
+class TestLongInputs:
+    """Path-ordered inputs give min-fill decompositions deeper than the recursion limit."""
+
+    def test_path_ordered_cycle(self):
+        g = cycle_graph(max(1500, 2 * sys.getrecursionlimit()))
+        dec = heuristic_decomposition(g)
+        out = colour_bounded_tw(g, 2, 2, dec)
+        assert not isinstance(out, OddModelCertificate)
+        ok, why = verify_colouring(g, out, colour_budget(2), clustering_budget(2, dec.width))
+        assert ok, why
+
+    def test_path_ordered_strip(self):
+        g = ladder(max(600, sys.getrecursionlimit()))
+        dec = heuristic_decomposition(g)
+        assert dec.width == 2
+        out = colour_bounded_tw(g, 3, 2, dec)
+        assert not isinstance(out, OddModelCertificate)
+        ok, why = verify_colouring(g, out, colour_budget(3), clustering_budget(2, dec.width))
+        assert ok, why

@@ -92,3 +92,49 @@ class TestDichotomy:
         a = disjoint_or_hitting(g, dec, triangle_oracle(g), 2)
         b = disjoint_or_hitting(g, dec, triangle_oracle(g), 2)
         assert [t.support for t in a.disjoint] == [t.support for t in b.disjoint]
+
+
+def full_tree_restriction(dec, old_to_new):
+    """Restriction as first written: every node kept, bags cut to the domain."""
+    from oddcluster import TreeDecomposition
+
+    bags = [
+        tuple(sorted(old_to_new[v] for v in bag if v in old_to_new)) for bag in dec.bags
+    ]
+    return TreeDecomposition(dec.tree, bags)
+
+
+def edge_oracle(g):
+    """Exact oracle: lexicographically first edge inside the region."""
+
+    def oracle(region):
+        inside = [e for e in sorted(g.edges) if set(e) <= region]
+        return Target(support=inside[0]) if inside else None
+
+    return oracle
+
+
+class TestVirtualTreeRestriction:
+    def test_same_dichotomy_as_full_tree_restriction(self):
+        from oddcluster import heuristic_decomposition, induced_subgraph
+        from oddcluster.decomposition import postorder, restrict_decomposition
+        from oddcluster.generators import random_partial_ktree
+
+        rng = random.Random(47)
+        for trial in range(60):
+            g = random_partial_ktree(rng.randint(8, 40), rng.randint(2, 3), trial, edge_keep=0.9)
+            dec = heuristic_decomposition(g)
+            xs = sorted(rng.sample(range(g.n), rng.randint(3, g.n)))
+            sub, m = induced_subgraph(g, xs)
+            old_to_new = {v: i for i, v in enumerate(m)}
+            virtual = restrict_decomposition(dec, old_to_new)
+            full = full_tree_restriction(dec, old_to_new)
+            # the non-empty bags come in the same post-order on both trees
+            assert [virtual.bags[x] for x in postorder(virtual) if virtual.bags[x]] == [
+                full.bags[x] for x in postorder(full) if full.bags[x]
+            ]
+            for make_oracle in (triangle_oracle, edge_oracle):
+                for ell in (1, 2, 3):
+                    a = disjoint_or_hitting(sub, virtual, make_oracle(sub), ell)
+                    b = disjoint_or_hitting(sub, full, make_oracle(sub), ell)
+                    assert a == b

@@ -220,3 +220,15 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert parse_graph(proc.stdout).n == 5
+
+    def test_colour_long_cycle_at_default_recursion_limit(self, tmp_path):
+        gp = tmp_path / "cycle.txt"
+        gp.write_text(serialize_graph(cycle_graph(max(1500, 2 * sys.getrecursionlimit()))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddcluster.cli", "colour", str(gp), "--h", "2", "--d", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["max_cluster"] <= 2
