@@ -14,13 +14,9 @@ from .colouring import (
     OddModelCertificate,
     colour_bounded_tw,
     colour_pipeline,
+    make_colouring,
 )
-from .decomposition import (
-    EXACT_TREEWIDTH_CAP,
-    exact_treewidth,
-    heuristic_decomposition,
-    validate_decomposition,
-)
+from .decomposition import EXACT_TREEWIDTH_CAP, decompose, exact_treewidth, validate_decomposition
 from .errors import OddClusterError, ParseError, ResourceLimitError
 from .generators import (
     complete_graph,
@@ -31,17 +27,20 @@ from .generators import (
 from .io import (
     certificate_from_json,
     certificate_to_json,
+    colouring_from_json,
     colouring_to_json,
     decomposition_from_json,
     decomposition_to_json,
     forest_to_json,
+    model_to_json,
     parse_graph,
+    parse_json,
     parse_partition,
     serialize_graph,
 )
 from .oddmodel import FIND_MODEL_CAP, find_odd_model, is_nontrivial, verify_model, verify_odd_witness
 from .oracles import verify_colouring
-from .treedepth import connected_tree_depth, tree_depth, u_graph
+from .treedepth import TREE_DEPTH_CAP, connected_tree_depth, tree_depth, u_graph
 
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
@@ -87,15 +86,14 @@ def cmd_gen(args):
 
 def cmd_metric(args):
     g = _load_graph(args.graph)
-    if args.metric == "td":
-        value, witness = tree_depth(g, cap=args.cap or 20)
-        _emit({"metric": "td", "value": value, "witness": forest_to_json(witness)})
-    elif args.metric == "ctd":
-        value, witness = connected_tree_depth(g, cap=args.cap or 20)
-        _emit({"metric": "ctd", "value": value, "witness": forest_to_json(witness)})
+    if args.metric == "tw":
+        value, dec = exact_treewidth(g, cap=args.cap or EXACT_TREEWIDTH_CAP)
+        witness = decomposition_to_json(dec)
     else:
-        width, dec = exact_treewidth(g, cap=args.cap or EXACT_TREEWIDTH_CAP)
-        _emit({"metric": "tw", "value": width, "witness": decomposition_to_json(dec)})
+        search = tree_depth if args.metric == "td" else connected_tree_depth
+        value, forest = search(g, cap=args.cap or TREE_DEPTH_CAP)
+        witness = forest_to_json(forest)
+    _emit({"metric": args.metric, "value": value, "witness": witness})
     return EXIT_OK
 
 
@@ -108,43 +106,32 @@ def cmd_odd_minor(args):
     if found is None:
         _emit({"found": False})
         return EXIT_NOT_FOUND
-    model, witness = found
-    _emit(
-        {
-            "found": True,
-            "branch_sets": [list(model.branch_sets[x]) for x in range(h.n)],
-            "tree_edges": [
-                [list(e) for e in model.branch_trees[x]] for x in range(h.n)
-            ],
-            "witness": {str(v): c for v, c in sorted(witness.colour.items())},
-        }
-    )
+    _emit({"found": True, **model_to_json(*found)})
     return EXIT_OK
 
 
 def _load_decomposition(g, path):
-    dec = decomposition_from_json(json.loads(_read(path)))
+    dec = decomposition_from_json(parse_json(_read(path)))
     ok, why = validate_decomposition(g, dec)
     if not ok:
         raise OddClusterError(f"supplied decomposition is invalid: {why}")
     return dec
 
 
-def cmd_colour(args):
-    g = _load_graph(args.graph)
-    if args.decomposition:
-        dec = _load_decomposition(g, args.decomposition)
-    elif g.n <= EXACT_TREEWIDTH_CAP:
-        dec = exact_treewidth(g)[1]
-    else:
-        dec = heuristic_decomposition(g)
-    out = colour_bounded_tw(g, args.h, args.d, dec, cap=args.cap or _default_cap())
+def _emit_result(g, out, budgets):
+    """Print a colouring (exit 0) or a certificate (exit 3)."""
     if isinstance(out, OddModelCertificate):
         _emit(certificate_to_json(out))
         return EXIT_CERTIFICATE
-    budgets = Budgets(h=args.h, d=args.d, w=max(dec.width, 0))
     _emit(colouring_to_json(g, out, budgets))
     return EXIT_OK
+
+
+def cmd_colour(args):
+    g = _load_graph(args.graph)
+    dec = _load_decomposition(g, args.decomposition) if args.decomposition else decompose(g)
+    out = colour_bounded_tw(g, args.h, args.d, dec, cap=args.cap or _default_cap())
+    return _emit_result(g, out, Budgets(h=args.h, d=args.d, w=max(dec.width, 0)))
 
 
 def cmd_pipeline(args):
@@ -154,39 +141,33 @@ def cmd_pipeline(args):
     if args.partition:
         partition = parse_partition(_read(args.partition), g.n)
     out = colour_pipeline(g, h, partition, cap=args.cap or _default_cap())
-    if isinstance(out, OddModelCertificate):
-        _emit(certificate_to_json(out))
-        return EXIT_CERTIFICATE
-    _emit(colouring_to_json(g, out))
-    return EXIT_OK
+    return _emit_result(g, out, None)
 
 
 def cmd_verify(args):
     g = _load_graph(args.graph)
+    data = parse_json(_read(args.artifact))
     if args.what == "model":
-        cert = certificate_from_json(json.loads(_read(args.artifact)))
+        cert = certificate_from_json(data)
         ok, why = verify_model(g, cert.model)
         if ok:
             ok, why = verify_odd_witness(g, cert.model, cert.witness)
         if ok and not is_nontrivial(cert.model):
             ok, why = False, "model is trivial (a branch set has fewer than 2 vertices)"
     elif args.what == "decomposition":
-        data = json.loads(_read(args.artifact))
         dec = decomposition_from_json(data)
         ok, why = validate_decomposition(g, dec)
-        if ok and int(data.get("width", dec.width)) != dec.width:
+        if ok and data.get("width", dec.width) != dec.width:
             ok, why = False, f"stored width {data['width']} != recomputed {dec.width}"
     else:
-        data = json.loads(_read(args.artifact))
-        from .colouring import make_colouring
-
-        colouring = make_colouring(g, dict(enumerate(data["colours"])))
+        colours, budgets = colouring_from_json(data, g.n)
+        colouring = make_colouring(g, dict(enumerate(colours)))
         max_colours = args.max_colours
         max_cluster = args.max_cluster
         if max_colours is None:
-            max_colours = data.get("budgets", {}).get("colours", colouring.num_colours)
+            max_colours = budgets.get("colours", colouring.num_colours)
         if max_cluster is None:
-            max_cluster = data.get("budgets", {}).get("clustering", colouring.max_cluster)
+            max_cluster = budgets.get("clustering", colouring.max_cluster)
         ok, why = verify_colouring(g, colouring, max_colours, max_cluster)
     _emit({"ok": ok, "violation": why})
     return EXIT_OK if ok else EXIT_NOT_FOUND

@@ -19,9 +19,9 @@ this is asserted, not assumed.
 from dataclasses import dataclass, field
 
 from .errors import InternalConsistencyError
-from .decomposition import restrict_decomposition
+from .decomposition import decompose, restrict_decomposition
 from .eposa import Target, disjoint_or_hitting
-from .graph import bfs_layers, connected_components, induced_subgraph, layered_spanning_tree
+from .graph import bfs_layers, connected_components, induced_subgraph, layered_spanning_tree, reach
 from .oddmodel import (
     FIND_MODEL_CAP,
     Model,
@@ -82,6 +82,11 @@ class OddModelCertificate:
     model: Model
     witness: Witness
 
+    def relabel(self, new_of_old):
+        return OddModelCertificate(
+            self.h, self.d, self.model.relabel(new_of_old), self.witness.relabel(new_of_old)
+        )
+
 
 def make_colouring(g, raw_colour, scope=None):
     """Compact raw colour ids to dense 0..k-1 and recompute the cluster size."""
@@ -103,27 +108,21 @@ def max_monochromatic_component(g, colour):
 
 
 def monochromatic_components(g, colour):
-    """Connected components of each colour class."""
+    """Connected components of each colour class; uncoloured vertices are skipped."""
+    classes = {}
+    for v, c in colour.items():
+        classes.setdefault(c, set()).add(v)
     seen = set()
     comps = []
     for s in range(g.n):
-        if s in seen or s not in colour:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if u not in seen and colour.get(u) == colour[s]:
-                    seen.add(u)
-                    comp.append(u)
-                    stack.append(u)
-        comps.append(tuple(sorted(comp)))
+        if s in colour and s not in seen:
+            comp = reach(g.adj, s, classes[colour[s]])
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
     return comps
 
 
-def _k1_certificate(g, d, scope_note=""):
+def _k1_certificate(g, d):
     """Non-trivial odd U_{1,d} = K_1 certificate: any edge, coloured red/blue."""
     a, b = min(g.edges)
     model = Model(
@@ -131,8 +130,7 @@ def _k1_certificate(g, d, scope_note=""):
         branch_sets={0: (a, b)},
         branch_trees={0: ((a, b),)},
     )
-    witness = Witness(colour={a: 0, b: 1})
-    return model, witness
+    return OddModelCertificate(h=1, d=d, model=model, witness=Witness(colour={a: 0, b: 1}))
 
 
 def assemble_certificate(g, layering, i, u_i, tree, submodels, h, d):
@@ -189,8 +187,23 @@ def assemble_certificate(g, layering, i, u_i, tree, submodels, h, d):
     return OddModelCertificate(h=h, d=d, model=cert_model, witness=cert_witness)
 
 
-def _relabel_pair(model, witness, new_of_old):
-    return model.relabel(new_of_old), witness.relabel(new_of_old)
+def _restrict(g, dec, xs):
+    """G[xs], its new -> old vertex list, and ``dec`` restricted to G[xs]."""
+    sub, new_to_old = induced_subgraph(g, xs)
+    return sub, new_to_old, restrict_decomposition(dec, {v: i for i, v in enumerate(new_to_old)})
+
+
+def _lift(raw, scope, new_to_old, sub, offset, tag):
+    """Copy a sub-problem's (colour, scope) maps onto host vertices.
+
+    Colours are shifted by ``offset`` into the caller's palette and scopes
+    are prefixed with ``tag``.
+    """
+    sub_raw, sub_scope = sub
+    for v, col in sub_raw.items():
+        raw[new_to_old[v]] = offset + col
+    for v, s in sub_scope.items():
+        scope[new_to_old[v]] = tag + s
 
 
 def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
@@ -207,12 +220,12 @@ def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
 
 def _assert_scope_locality(g, raw, scope):
     # every monochromatic component must sit inside a single layer of a
-    # single recursion scope; same-parity palette reuse relies on this
-    for comp in monochromatic_components(g, raw):
-        scopes = {scope[v] for v in comp}
-        if len(scopes) != 1:
+    # single recursion scope; same-parity palette reuse relies on this.  A
+    # component lies in one scope iff each of its edges does.
+    for a, b in g.edges:
+        if raw[a] == raw[b] and scope[a] != scope[b]:
             raise InternalConsistencyError(
-                f"monochromatic component {comp} spans scopes {sorted(scopes)}"
+                f"monochromatic edge ({a},{b}) joins scopes {scope[a]!r} and {scope[b]!r}"
             )
 
 
@@ -220,27 +233,18 @@ def _colour_rec(g, h, d, dec, cap, prefix):
     """Either (raw colour map, scope map) in palette 0..f(h)-1, or a certificate."""
     if h == 1:
         if g.edges:
-            model, witness = _k1_certificate(g, d)
-            return OddModelCertificate(h=1, d=d, model=model, witness=witness)
+            return _k1_certificate(g, d)
         tag = f"{prefix}/base" if prefix else "base"
         return {v: 0 for v in range(g.n)}, {v: tag for v in range(g.n)}
 
     raw = {}
     scope = {}
     for ci, comp in enumerate(connected_components(g)):
-        gc, comp_map = induced_subgraph(g, comp)
-        local_to_global = comp_map
-        global_to_local = {v: i for i, v in enumerate(comp_map)}
-        dec_c = restrict_decomposition(dec, global_to_local)
+        gc, comp_map, dec_c = _restrict(g, dec, comp)
         out = _colour_component(gc, h, d, dec_c, cap, f"{prefix}/c{ci}")
         if isinstance(out, OddModelCertificate):
-            model, witness = _relabel_pair(out.model, out.witness, local_to_global)
-            return OddModelCertificate(h=h, d=d, model=model, witness=witness)
-        raw_c, scope_c = out
-        for v_local, col in raw_c.items():
-            raw[local_to_global[v_local]] = col
-        for v_local, s in scope_c.items():
-            scope[local_to_global[v_local]] = s
+            return out.relabel(comp_map)
+        _lift(raw, scope, comp_map, out, 0, "")
     return raw, scope
 
 
@@ -261,32 +265,23 @@ def _colour_component(g, h, d, dec, cap, prefix):
             raw[u_i] = hit_colour
             scope[u_i] = hit_scope
             continue
-        gi, region_map = induced_subgraph(g, region)
-        region_to_local = {v: k for k, v in enumerate(region_map)}
-        dec_i = restrict_decomposition(dec, region_to_local)
+        gi, region_map, dec_i = _restrict(g, dec, region)
         if pattern is None:
             pattern = u_graph(h - 1, d)
         memo = {}
 
-        def oracle(reg, _gi=gi, _pattern=pattern, _memo=memo):
+        def oracle(reg):  # used only by the dichotomy call just below
             key = frozenset(reg)
-            if key in _memo:
-                return _memo[key]
-            found = find_odd_model(
-                _gi, _pattern, sorted(key), require_nontrivial=True, cap=cap
-            )
-            if found is None:
-                _memo[key] = None
-            else:
-                model, witness = found
-                _memo[key] = Target(support=model.support(), payload=(model, witness))
-            return _memo[key]
+            if key not in memo:
+                found = find_odd_model(gi, pattern, sorted(key), require_nontrivial=True, cap=cap)
+                memo[key] = found and Target(tuple(found[0].covered_vertices()), found)
+            return memo[key]
 
         dich = disjoint_or_hitting(gi, dec_i, oracle, d)
         if dich.is_disjoint_arm:
             submodels = [
-                _relabel_pair(t.payload[0], t.payload[1], region_map)
-                for t in dich.disjoint
+                (model.relabel(region_map), witness.relabel(region_map))
+                for model, witness in (t.payload for t in dich.disjoint)
             ]
             tree = layered_spanning_tree(g, layering, i, u_i)
             return assemble_certificate(g, layering, i, u_i, tree, submodels, h, d)
@@ -298,31 +293,17 @@ def _colour_component(g, h, d, dec, cap, prefix):
         rest = sorted(set(region) - set(hit))
         if not rest:
             continue
-        gr, rest_map = induced_subgraph(g, rest)
-        rest_to_local = {v: k for k, v in enumerate(rest_map)}
-        dec_r = restrict_decomposition(dec, rest_to_local)
+        gr, rest_map, dec_r = _restrict(g, dec, rest)
         sub = _colour_rec(gr, h - 1, d, dec_r, cap, f"{prefix}/L{i}")
         if isinstance(sub, OddModelCertificate):
             raise InternalConsistencyError(
                 f"odd U_{{{h-1},{d}}}-model found in a region the hitting set certified clean"
             )
-        raw_r, scope_r = sub
-        for v_local, col in raw_r.items():
-            raw[rest_map[v_local]] = offset + col
-        for v_local, s in scope_r.items():
-            scope[rest_map[v_local]] = s
+        _lift(raw, scope, rest_map, sub, offset, "")
     return raw, scope
 
 
-def colour_pipeline(
-    g,
-    pattern_graph,
-    partition=None,
-    *,
-    cap=FIND_MODEL_CAP,
-    exact_tw_cap=None,
-    td_cap=None,
-):
+def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):
     """Colour g against the excluded pattern H: h = ctd(H), d = |V(H)|.
 
     Without a partition the graph is decomposed directly (exact when small
@@ -332,22 +313,13 @@ def colour_pipeline(
     components on [f(h), 2*f(h)), for at most 3*2^h - 4 colours total.
     A certificate from any component is reported at the U_{h,d} level.
     """
-    from .decomposition import EXACT_TREEWIDTH_CAP, exact_treewidth, heuristic_decomposition
-    from .treedepth import TREE_DEPTH_CAP, connected_tree_depth
+    # imported at call time, so a rebinding of treedepth.connected_tree_depth is seen
+    from .treedepth import connected_tree_depth
 
-    exact_tw_cap = EXACT_TREEWIDTH_CAP if exact_tw_cap is None else exact_tw_cap
-    td_cap = TREE_DEPTH_CAP if td_cap is None else td_cap
-    h, _ = connected_tree_depth(pattern_graph, cap=td_cap)
+    h, _ = connected_tree_depth(pattern_graph)
     d = pattern_graph.n
-
-    def decompose(graph):
-        if graph.n <= exact_tw_cap:
-            return exact_treewidth(graph, cap=exact_tw_cap)[1]
-        return heuristic_decomposition(graph)
-
     if partition is None:
-        dec = decompose(g)
-        return colour_bounded_tw(g, h, d, dec, cap=cap)
+        return colour_bounded_tw(g, h, d, decompose(g), cap=cap)
 
     partition = list(partition)
     if len(partition) != g.n or set(partition) - {"r", "b"}:
@@ -361,13 +333,8 @@ def colour_pipeline(
         for comp in connected_components(gs):
             comp_global = [side_map[v] for v in comp]
             gcomp, comp_map = induced_subgraph(g, comp_global)
-            dec = decompose(gcomp)
-            out = colour_bounded_tw(gcomp, h, d, dec, cap=cap)
+            out = colour_bounded_tw(gcomp, h, d, decompose(gcomp), cap=cap)
             if isinstance(out, OddModelCertificate):
-                model, witness = _relabel_pair(out.model, out.witness, comp_map)
-                return OddModelCertificate(h=h, d=d, model=model, witness=witness)
-            for v_local, col in out.colour.items():
-                raw[comp_map[v_local]] = offset + col
-            for v_local, s in out.scope.items():
-                scope[comp_map[v_local]] = f"{side}:{s}"
+                return out.relabel(comp_map)
+            _lift(raw, scope, comp_map, (out.colour, out.scope), offset, f"{side}:")
     return make_colouring(g, raw, scope)

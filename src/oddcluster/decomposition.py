@@ -17,7 +17,6 @@ bags.
 """
 
 import heapq
-from collections import deque
 
 from .errors import ResourceLimitError
 from .graph import Graph, RootedTree
@@ -39,9 +38,6 @@ class TreeDecomposition:
     @property
     def num_nodes(self):
         return len(self.bags)
-
-    def node_edges(self):
-        return self.tree.edges()
 
     def __repr__(self):
         return f"TreeDecomposition(nodes={self.num_nodes}, width={self.width})"
@@ -238,18 +234,11 @@ def _find_order_within(g, k):
             nbrs = _reach_through(adj, v, eliminated)
             if len(nbrs) > k:
                 continue
-            candidates.append((v, nbrs))
             if len(nbrs) <= 1 or filled_clique(nbrs, eliminated):
-                # safe to commit without branching
-                eliminated.add(v)
-                order.append(v)
-                if search(eliminated, order):
-                    return True
-                eliminated.discard(v)
-                order.pop()
-                dead.add(key)
-                return False
-        for v, _ in candidates:
+                candidates = [v]  # safe to commit without branching
+                break
+            candidates.append(v)
+        for v in candidates:
             eliminated.add(v)
             order.append(v)
             if search(eliminated, order):
@@ -291,15 +280,12 @@ def _normalize(tree, bags):
     children = tree.children()
     root = tree.roots[0]
     relabel = {root: 0}
-    queue = deque([root])
     order = [root]
-    while queue:
-        x = queue.popleft()
+    for x in order:  # grows while read: BFS order
         kids = sorted(children[x], key=lambda y: (min(bags[y]) if bags[y] else -1, y))
         for y in kids:
             relabel[y] = len(relabel)
             order.append(y)
-            queue.append(y)
     new_bags = [bags[x] for x in order]
     new_parent = {relabel[c]: relabel[p] for c, p in tree.parent.items()}
     return TreeDecomposition(RootedTree(parent=new_parent, roots=(0,)), new_bags)
@@ -309,14 +295,9 @@ def exact_treewidth(g, cap=EXACT_TREEWIDTH_CAP):
     """Minimum-width tree-decomposition via iterative deepening on width."""
     if g.n > cap:
         raise ResourceLimitError(f"exact treewidth capped at {cap} vertices, got {g.n}")
-    if g.n == 0:
-        return -1, decomposition_from_order(g, [])
     mf_dec = decomposition_from_order(g, _min_fill_order(g))
     ub = mf_dec.width
-    lb = _degeneracy_lower_bound(g)
-    if lb >= ub:
-        return ub, mf_dec
-    for k in range(lb, ub):
+    for k in range(_degeneracy_lower_bound(g), ub):
         order = _find_order_within(g, k)
         if order is not None:
             return k, decomposition_from_order(g, order)
@@ -326,6 +307,13 @@ def exact_treewidth(g, cap=EXACT_TREEWIDTH_CAP):
 def heuristic_decomposition(g):
     """Valid decomposition from a min-fill elimination order (width >= tw)."""
     return decomposition_from_order(g, _min_fill_order(g))
+
+
+def decompose(g):
+    """Exact treewidth up to EXACT_TREEWIDTH_CAP vertices, min-fill above."""
+    if g.n <= EXACT_TREEWIDTH_CAP:
+        return exact_treewidth(g)[1]
+    return heuristic_decomposition(g)
 
 
 def restrict_decomposition(dec, old_to_new):
@@ -380,22 +368,19 @@ def trivial_decomposition(g):
 
 def subtree_bag_unions(dec):
     """For each node, the union of bags in its rooted subtree."""
-    children = dec.tree.children()
-    out = [None] * dec.num_nodes
-    post = postorder(dec)
-    for x in post:
-        acc = set(dec.bags[x])
-        for c in children[x]:
-            acc |= out[c]
-        out[x] = acc
+    out = [set(b) for b in dec.bags]
+    parent = dec.tree.parent
+    for x in postorder(dec):
+        if x in parent:
+            out[parent[x]] |= out[x]
     return out
 
 
 def postorder(dec):
-    """Post-order traversal of the decomposition tree, children in index order."""
+    """Post-order traversal of the decomposition forest, roots and children in index order."""
     children = dec.tree.children()
     out = []
-    stack = [dec.tree.roots[0]]
+    stack = list(dec.tree.roots)
     while stack:  # pre-order with the children reversed, read backwards
         x = stack.pop()
         out.append(x)

@@ -11,11 +11,11 @@ and deletes the whole subtree region.  Recorded targets live in regions
 deleted before later iterations, so they are pairwise disjoint.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import InternalConsistencyError
 from .decomposition import postorder, subtree_bag_unions
+from .graph import reach
 
 
 @dataclass
@@ -40,16 +40,7 @@ def _check_target(g, region, target):
         raise InternalConsistencyError("oracle returned an empty target")
     if not support <= region:
         raise InternalConsistencyError("oracle target leaves the queried region")
-    start = min(support)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v] & support:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    if seen != support:
+    if reach(g.adj, min(support), support) != support:
         raise InternalConsistencyError("oracle target support is not connected")
 
 

@@ -23,8 +23,8 @@ class InternalConsistencyError(OddClusterError):
 
 
 class ParseError(OddClusterError):
-    """Malformed input file."""
+    """Malformed input file; ``line`` is None for a structural JSON error."""
 
     def __init__(self, line, message):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line

@@ -4,7 +4,6 @@ Vertices are dense integer indices 0..n-1.  All set-valued outputs are
 sorted ascending so that repeated runs produce identical results.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -41,9 +40,6 @@ class Graph:
 
     def degree(self, v):
         return len(self.adj[v])
-
-    def vertices(self):
-        return range(self.n)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -132,19 +128,15 @@ class Layering:
                 out[v] = i
         return out
 
-    def vertices(self):
-        return [v for layer in self.layers for v in layer]
-
 
 def bfs_layers(g, r):
     """Partition the component of r into distance layers from r."""
     if not 0 <= r < g.n:
         raise ValueError(f"invalid root {r}")
     dist = {r: 0}
-    order = deque([r])
+    order = [r]
     layers = [[r]]
-    while order:
-        v = order.popleft()
+    for v in order:  # grows while read: BFS order
         for u in sorted(g.adj[v]):
             if u not in dist:
                 dist[u] = dist[v] + 1
@@ -187,9 +179,8 @@ def is_bipartite(g):
         if s in colour:
             continue
         colour[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
+        queue = [s]
+        for v in queue:  # grows while read: BFS order
             for u in sorted(g.adj[v]):
                 if u not in colour:
                     colour[u] = 1 - colour[v]
@@ -231,22 +222,30 @@ def induced_subgraph(g, xs):
     return Graph(len(xs), edges), xs
 
 
+def reach(adj, start, allowed=None, edge_ok=None):
+    """Vertices reachable from ``start`` through ``allowed`` by edges vu with ``edge_ok(v, u)``.
+
+    ``adj[v]`` is v's neighbour set; None allows every vertex or edge.  The
+    walk takes neighbours in set order, as only the set is returned.
+    """
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for u in adj[v] if allowed is None else adj[v] & allowed:
+            if u not in seen and (edge_ok is None or edge_ok(v, u)):
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
 def connected_components(g):
     """Maximal connected vertex sets, each sorted, ordered by minimum element."""
     seen = set()
     comps = []
     for s in range(g.n):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for u in g.adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    comp.append(u)
-                    queue.append(u)
-        comps.append(tuple(sorted(comp)))
+        if s not in seen:
+            comp = reach(g.adj, s)
+            seen |= comp
+            comps.append(tuple(sorted(comp)))
     return comps

@@ -2,8 +2,12 @@
 
 Graph files: first significant line ``p <n> <m>``, then m lines ``<u> <v>``
 with 0-based indices; ``#`` starts a comment.  Partition files: one line of
-``r``/``b`` characters, index-aligned with the vertices.
+``r``/``b`` characters, index-aligned with the vertices.  JSON artifacts are
+checked against their schema as they are read: malformed ones raise
+ParseError, so the verifiers only ever see well-typed values.
 """
+
+import json
 
 from .errors import ParseError
 from .graph import Graph, RootedTree
@@ -29,6 +33,8 @@ def parse_graph(text):
                 n, expected = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError(lineno, "header counts must be integers") from None
+            if n < 0 or expected < 0:
+                raise ParseError(lineno, "header counts must be non-negative")
             continue
         if len(parts) != 2:
             raise ParseError(lineno, f"expected edge '<u> <v>', got {line!r}")
@@ -82,57 +88,110 @@ def colouring_to_json(g, colouring, budgets=None):
     return out
 
 
-def certificate_to_json(cert):
-    pattern_n = cert.model.pattern.n
+def model_to_json(model, witness):
+    pattern_n = model.pattern.n
     return {
-        "h": cert.h,
-        "d": cert.d,
-        "branch_sets": [list(cert.model.branch_sets[x]) for x in range(pattern_n)],
-        "tree_edges": [
-            [list(e) for e in cert.model.branch_trees[x]] for x in range(pattern_n)
-        ],
-        "witness": {str(v): c for v, c in sorted(cert.witness.colour.items())},
+        "branch_sets": [list(model.branch_sets[x]) for x in range(pattern_n)],
+        "tree_edges": [[list(e) for e in model.branch_trees[x]] for x in range(pattern_n)],
+        "witness": {str(v): c for v, c in sorted(witness.colour.items())},
     }
+
+
+def certificate_to_json(cert):
+    return {"h": cert.h, "d": cert.d, **model_to_json(cert.model, cert.witness)}
+
+
+def parse_json(text):
+    """The top-level object of a JSON artifact."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, an overlong integer, deep nesting
+        raise ParseError(None, str(exc)) from None
+    _require(isinstance(data, dict), "a JSON artifact must be an object")
+    return data
+
+
+def _require(ok, message):
+    if not ok:
+        raise ParseError(None, message)
+
+
+def _int_lists(x, size):
+    """True iff x is a list of integer lists, each of length ``size`` (any, if None)."""
+    return isinstance(x, list) and all(
+        isinstance(v, list) and size in (None, len(v)) and all(type(i) is int for i in v)
+        for v in x
+    )
 
 
 def certificate_from_json(data):
-    h, d = int(data["h"]), int(data["d"])
-    pattern = u_graph(h, d)
-    branch_sets = {x: tuple(bs) for x, bs in enumerate(data["branch_sets"])}
-    branch_trees = {
-        x: tuple(tuple(e) for e in te) for x, te in enumerate(data["tree_edges"])
-    }
-    witness = Witness(colour={int(v): c for v, c in data["witness"].items()})
-    model = Model(pattern=pattern, branch_sets=branch_sets, branch_trees=branch_trees)
-    return OddModelCertificate(h=h, d=d, model=model, witness=witness)
+    h, d, sets, trees, witness = map(data.get, ("h", "d", "branch_sets", "tree_edges", "witness"))
+    _require(type(h) is type(d) is int and min(h, d) >= 1, "'h' and 'd' must be positive integers")
+    _require(_int_lists(sets, None), "'branch_sets' must be a list of vertex lists")
+    _require(
+        isinstance(trees, list)
+        and len(trees) == len(sets)
+        and all(_int_lists(t, 2) for t in trees),
+        "'tree_edges' must hold one list of vertex pairs per branch set",
+    )
+    _require(
+        isinstance(witness, dict)
+        and all(v.isdecimal() and type(c) is int and c in (0, 1) for v, c in witness.items()),
+        "'witness' must map vertices to 0 or 1",
+    )
+    colour = {int(v): c for v, c in witness.items()}
+    _require(all(v in colour for bs in sets for v in bs), "'witness' misses a branch-set vertex")
+    model = Model(
+        pattern=u_graph(h, d),
+        branch_sets={x: tuple(bs) for x, bs in enumerate(sets)},
+        branch_trees={x: tuple(tuple(e) for e in te) for x, te in enumerate(trees)},
+    )
+    return OddModelCertificate(h=h, d=d, model=model, witness=Witness(colour=colour))
+
+
+def colouring_from_json(data, n):
+    """The colours of a colouring on n vertices, and its declared budgets ({} if none)."""
+    colours, budgets = data.get("colours"), data.get("budgets", {})
+    _require(_int_lists([colours], n), f"'colours' must list {n} integer colours")
+    _require(
+        isinstance(budgets, dict)
+        and all(type(budgets.get(k, 0)) is int for k in ("colours", "clustering")),
+        "'budgets' must map 'colours' and 'clustering' to integers",
+    )
+    return colours, budgets
 
 
 def decomposition_to_json(dec):
     return {
         "nodes": dec.num_nodes,
-        "edges": [list(e) for e in dec.node_edges()],
+        "edges": [list(e) for e in dec.tree.edges()],
         "bags": [list(b) for b in dec.bags],
         "width": dec.width,
     }
 
 
 def decomposition_from_json(data):
-    nodes = int(data["nodes"])
-    adj = {x: set() for x in range(nodes)}
-    for a, b in data["edges"]:
+    """The decomposition rooted at node 0; its edges must form a tree on its nodes."""
+    nodes, edges, bags = data.get("nodes"), data.get("edges"), data.get("bags")
+    _require(type(nodes) is int and nodes >= 1, "'nodes' must be a positive integer")
+    _require(type(data.get("width", 0)) is int, "'width' must be an integer")
+    _require(_int_lists(bags, None), "'bags' must be a list of vertex lists")
+    _require(
+        _int_lists(edges, 2)
+        and len(edges) == nodes - 1
+        and all(0 <= x < nodes for e in edges for x in e),
+        f"'edges' must hold exactly nodes - 1 = {nodes - 1} pairs of nodes in 0..{nodes - 1}",
+    )
+    adj = [set() for _ in range(nodes)]
+    for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
     parent = {}
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
+    order = [0]
+    for x in order:  # grows while read
         for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
+            if y != 0 and y not in parent:
                 parent[y] = x
-                stack.append(y)
-    if len(seen) != nodes:
-        raise ValueError("decomposition tree is not connected")
-    tree = RootedTree(parent=parent, roots=(0,))
-    return TreeDecomposition(tree, [tuple(b) for b in data["bags"]])
+                order.append(y)
+    _require(len(order) == nodes, "'edges' do not form a tree")  # n - 1 edges joining n nodes do
+    return TreeDecomposition(RootedTree(parent=parent, roots=(0,)), [tuple(b) for b in bags])

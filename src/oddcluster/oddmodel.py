@@ -12,11 +12,10 @@ set" (see ``parity_realizable``); the two formulations admit exactly the
 same colourings, and the latter is cheap to enumerate.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .graph import Graph
+from .graph import Graph, reach
 
 FIND_MODEL_CAP = 24
 
@@ -31,9 +30,6 @@ class Model:
 
     def covered_vertices(self):
         return sorted(v for bs in self.branch_sets.values() for v in bs)
-
-    def support(self):
-        return tuple(self.covered_vertices())
 
     def relabel(self, new_of_old):
         return Model(
@@ -63,8 +59,6 @@ class Witness:
 
 def _is_spanning_tree(edges, verts, host):
     verts = set(verts)
-    if len(verts) == 1:
-        return len(edges) == 0
     if len(edges) != len(verts) - 1:
         return False
     adj = {v: set() for v in verts}
@@ -73,16 +67,7 @@ def _is_spanning_tree(edges, verts, host):
             return False
         adj[a].add(b)
         adj[b].add(a)
-    start = next(iter(verts))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen == verts
+    return reach(adj, next(iter(verts))) == verts
 
 
 def joining_edges(g, set_a, set_b):
@@ -152,27 +137,16 @@ def parity_realizable(g, branch_set, colour):
     bs = set(branch_set)
     if not bs:
         raise ValueError("empty branch set")
-    start = min(bs)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v] & bs:
-            if u not in seen and colour[u] != colour[v]:
-                seen.add(u)
-                queue.append(u)
-    return seen == bs
+    return reach(g.adj, min(bs), bs, lambda v, u: colour[u] != colour[v]) == bs
 
 
 def _bichromatic_bfs_tree(g, branch_set, colour):
     """Minimum-index BFS tree inside the bichromatic subgraph of G[B]."""
     bs = set(branch_set)
-    start = min(bs)
-    seen = {start}
-    queue = deque([start])
+    queue = [min(bs)]  # read front to back while it grows: BFS order
+    seen = set(queue)
     edges = []
-    while queue:
-        v = queue.popleft()
+    for v in queue:
         for u in sorted(g.adj[v] & bs):
             if u not in seen and colour[u] != colour[v]:
                 seen.add(u)
@@ -196,14 +170,10 @@ def _connected_subsets(adj, available, min_vertex, prune):
         if prune(current):
             return
         frontier = sorted(
-            u for v in current for u in adj[v] if u in candidates and u not in current
+            {u for v in current for u in adj[v] if u in candidates and u not in current}
         )
         banned = set()
-        seen_here = set()
         for u in frontier:
-            if u in seen_here:
-                continue
-            seen_here.add(u)
             yield from grow(current | {u}, candidates - banned)
             banned.add(u)
 

@@ -6,7 +6,7 @@ the default cap is 20 vertices.
 """
 
 from .errors import ResourceLimitError
-from .graph import Graph, RootedTree, connected_components, induced_subgraph
+from .graph import Graph, RootedTree
 
 TREE_DEPTH_CAP = 20
 U_GRAPH_VERTEX_CAP = 4096
@@ -30,9 +30,11 @@ def complete_dary_tree(h, d):
     """Complete d-ary tree of vertex-height h, vertices in BFS order (root 0)."""
     if h < 1 or d < 1:
         raise ValueError("h and d must be >= 1")
-    n = h if d == 1 else (d**h - 1) // (d - 1)
-    if n > U_GRAPH_VERTEX_CAP:
-        raise ResourceLimitError(f"U_{{{h},{d}}} has {n} vertices, cap is {U_GRAPH_VERTEX_CAP}")
+    n, level = 0, 1
+    for _ in range(h):  # level by level, so a huge h or d stops at the cap
+        n, level = n + level, level * d
+        if n > U_GRAPH_VERTEX_CAP:
+            raise ResourceLimitError(f"U_{{{h},{d}}} has over {U_GRAPH_VERTEX_CAP} vertices")
     parent = {v: (v - 1) // d for v in range(1, n)}
     return RootedTree(parent=parent, roots=(0,))
 
@@ -120,23 +122,17 @@ class _TreeDepthSearch:
         return best
 
     def forest_witness(self, mask):
-        """Parent map of an optimal rooted forest for the induced subgraph."""
+        """Parent map and roots of an optimal rooted forest for the induced subgraph."""
         parent = {}
         roots = []
         for comp in _bit_components(self.adj, mask):
             self.connected_value(comp)
             root = self.memo[comp][1]
             roots.append(root)
-            self._attach(comp, root, parent)
+            below, sub_roots = self.forest_witness(comp & ~(1 << root))
+            parent.update(below)
+            parent.update(dict.fromkeys(sub_roots, root))
         return parent, roots
-
-    def _attach(self, mask, root, parent):
-        rest = mask & ~(1 << root)
-        for comp in _bit_components(self.adj, rest):
-            self.connected_value(comp)
-            sub_root = self.memo[comp][1]
-            parent[sub_root] = root
-            self._attach(comp, sub_root, parent)
 
 
 def tree_depth(g, cap=TREE_DEPTH_CAP):
@@ -179,11 +175,3 @@ def connected_tree_depth(g, cap=TREE_DEPTH_CAP):
         parent[sub_root] = best_r
     return best, RootedTree(parent=parent, roots=(best_r,))
 
-
-def tree_depth_components(g, cap=TREE_DEPTH_CAP):
-    """Per-component tree-depth values, used for the footnote cross-check."""
-    out = []
-    for comp in connected_components(g):
-        sub, _ = induced_subgraph(g, comp)
-        out.append(tree_depth(sub, cap=cap)[0])
-    return out

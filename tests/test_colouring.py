@@ -23,8 +23,9 @@ from oddcluster import (
     verify_model,
     verify_odd_witness,
 )
-from oddcluster.colouring import monochromatic_components
-from oddcluster.decomposition import trivial_decomposition
+from oddcluster.colouring import _assert_scope_locality, monochromatic_components
+from oddcluster.decomposition import decompose, trivial_decomposition
+from oddcluster.errors import InternalConsistencyError
 from oddcluster.generators import (
     complete_graph,
     cycle_graph,
@@ -33,12 +34,6 @@ from oddcluster.generators import (
     random_partial_ktree,
     star_graph,
 )
-
-
-def decompose(g):
-    if g.n <= 18:
-        return exact_treewidth(g)[1]
-    return heuristic_decomposition(g)
 
 
 def check_certificate(g, cert):
@@ -75,6 +70,33 @@ class TestBudgets:
             colour_budget(0)
         with pytest.raises(ValueError):
             clustering_budget(0, 1)
+
+
+class TestScopeLocality:
+    def test_monochromatic_edge_across_scopes_raises(self):
+        g = Graph(3, [(0, 1), (1, 2)])
+        _assert_scope_locality(g, {0: 0, 1: 0, 2: 1}, {0: "a", 1: "a", 2: "b"})
+        with pytest.raises(InternalConsistencyError, match="joins scopes"):
+            _assert_scope_locality(g, {0: 0, 1: 1, 2: 1}, {0: "a", 1: "a", 2: "b"})
+
+    def test_same_verdict_as_component_scopes(self):
+        # the edge scan must raise exactly when a monochromatic component spans two scopes
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.25]
+            g = Graph(n, edges)
+            raw = {v: rng.randrange(3) for v in range(n)}
+            scope = {v: rng.choice("ab") for v in range(n)}
+            spans = any(
+                len({scope[v] for v in comp}) > 1 for comp in monochromatic_components(g, raw)
+            )
+            try:
+                _assert_scope_locality(g, raw, scope)
+                raised = False
+            except InternalConsistencyError:
+                raised = True
+            assert raised == spans
 
 
 class TestBaseCase:

@@ -2,8 +2,15 @@ import random
 
 import pytest
 
-from oddcluster import Graph, disjoint_or_hitting, exact_treewidth
-from oddcluster.decomposition import trivial_decomposition
+from oddcluster import (
+    Graph,
+    RootedTree,
+    TreeDecomposition,
+    disjoint_or_hitting,
+    exact_treewidth,
+    validate_decomposition,
+)
+from oddcluster.decomposition import postorder, subtree_bag_unions, trivial_decomposition
 from oddcluster.eposa import Target
 from oddcluster.generators import complete_graph
 from conftest import max_disjoint_triangles, random_small_graph, triangles_of
@@ -138,3 +145,32 @@ class TestVirtualTreeRestriction:
                     a = disjoint_or_hitting(sub, virtual, make_oracle(sub), ell)
                     b = disjoint_or_hitting(sub, full, make_oracle(sub), ell)
                     assert a == b
+
+
+class TestForestDecomposition:
+    """A decomposition whose tree is a forest: the walk covers every root's subtree."""
+
+    def two_roots(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        dec = TreeDecomposition(RootedTree(parent={}, roots=(0, 1)), [(0, 1), (2, 3)])
+        assert validate_decomposition(g, dec) == (True, None)
+        return g, dec
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_target_under_second_root(self, ell):
+        g, dec = self.two_roots()
+
+        def oracle(region):
+            return Target(support=(2, 3)) if {2, 3} <= region else None
+
+        out = disjoint_or_hitting(g, dec, oracle, ell)
+        if ell == 1:
+            assert [t.support for t in out.disjoint] == [(2, 3)]
+        else:
+            assert out.hitting_set == (2, 3)
+
+    def test_postorder_visits_roots_in_index_order(self):
+        tree = RootedTree(parent={2: 0, 3: 0, 4: 1, 5: 4}, roots=(1, 0))
+        dec = TreeDecomposition(tree, [(0,), (1,), (2,), (3,), (4,), (5,)])
+        assert postorder(dec) == [2, 3, 0, 5, 4, 1]
+        assert subtree_bag_unions(dec) == [{0, 2, 3}, {1, 4, 5}, {2}, {3}, {4, 5}, {5}]

@@ -12,6 +12,8 @@ from oddcluster import (
     is_bipartite,
     layered_spanning_tree,
 )
+from oddcluster.colouring import monochromatic_components
+from oddcluster.graph import reach
 from conftest import all_two_colourings_proper, check_layered_tree, random_small_graph
 
 
@@ -79,7 +81,7 @@ class TestBfsLayers:
             for i, layer in enumerate(l.layers[1:], start=1):
                 for v in layer:
                     assert any(layer_of.get(u) == i - 1 for u in g.adj[v])
-            assert set(l.vertices()) == set(connected_components(g)[0])
+            assert set(layer_of) == set(connected_components(g)[0])
 
 
 def _bfs_distances(g, r):
@@ -233,3 +235,60 @@ class TestConnectedComponents:
     def test_isolated_vertex(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 2)])
         assert connected_components(g) == [(0, 1, 2), (3,)]
+
+
+def union_find_components(vertices, edges):
+    """Reference components by union-find: sorted tuples, ordered by minimum element."""
+    root = {v: v for v in vertices}
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for a, b in edges:
+        if a in root and b in root:
+            root[find(a)] = find(b)
+    groups = {}
+    for v in sorted(vertices):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(tuple(grp) for grp in groups.values())
+
+
+def sparse_graphs(seed, count):
+    """Seeded random graphs, mostly sparse enough to have several components."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 40)
+        p = rng.choice((0.02, 0.05, 0.1, 0.3))
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        yield rng, Graph(n, edges)
+
+
+class TestReachAgainstUnionFind:
+    def test_connected_components(self):
+        for _, g in sparse_graphs(3, 200):
+            assert connected_components(g) == union_find_components(range(g.n), g.edges)
+
+    def test_monochromatic_components(self):
+        for rng, g in sparse_graphs(5, 200):
+            k = rng.randint(1, 4)
+            share = rng.choice((1.0, 0.7, 0.3))  # below 1: vertices left out are skipped
+            colour = {v: rng.randrange(k) for v in range(g.n) if rng.random() < share}
+            mono = [(a, b) for a, b in g.edges if colour.get(a, -1) == colour.get(b, -2)]
+            assert monochromatic_components(g, colour) == union_find_components(colour, mono)
+
+    def test_allowed_and_edge_filter(self):
+        for rng, g in sparse_graphs(7, 200):
+            allowed = {v for v in range(g.n) if rng.random() < 0.6}
+            parity = {v: rng.randrange(2) for v in range(g.n)}
+            start = rng.randrange(g.n)
+            kept = [(a, b) for a, b in g.edges if parity[a] != parity[b]]
+            want = next(c for c in union_find_components(allowed | {start}, kept) if start in c)
+            got = reach(g.adj, start, allowed, lambda v, u: parity[v] != parity[u])
+            assert got == set(want)
+
+    def test_start_outside_allowed_is_reached(self):
+        assert reach(path(3).adj, 0, {2}) == {0}
+        assert reach(path(3).adj, 1, {0, 2}) == {0, 1, 2}

@@ -232,3 +232,137 @@ class TestCli:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["max_cluster"] <= 2
+
+
+
+P3 = "p 3 2\n0 1\n1 2\n"
+
+
+def cert_json(**changes):
+    """A valid non-trivial odd U_{1,1}-model in the path P3, with ``changes`` applied."""
+    data = {"h": 1, "d": 1, "branch_sets": [[0, 1]], "tree_edges": [[[0, 1]]]}
+    data["witness"] = {"0": 0, "1": 1}
+    data.update(changes)
+    return data
+
+
+def verify_artifact(capsys, write, what, artifact):
+    """Exit code and stderr of ``verify <what>`` on P3 and the artifact."""
+    text = artifact if isinstance(artifact, str) else json.dumps(artifact)
+    code = main(["verify", what, write("g.txt", P3), write("artifact.json", text)])
+    return code, capsys.readouterr().err
+
+
+def assert_parse_error(code, err):
+    assert code == 2
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
+class TestMalformedInputs:
+    """Malformed files end in exit 2 with a parse error on stderr, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "dec",
+        [
+            {"nodes": 3, "edges": [[0, 1], [1, 2], [2, 0]], "bags": [[0, 1], [1, 2], [0, 2]]},
+            {"nodes": 2, "edges": [[0, 1], [0, 1]], "bags": [[0, 1], [1, 2]]},
+            {"nodes": 2, "edges": [[0, 5]], "bags": [[0, 1], [1, 2]]},
+            {"nodes": 3, "edges": [[0, 1], [1, 0]], "bags": [[0, 1], [1, 2], [2]]},
+            {"nodes": 2, "edges": [[0, 0]], "bags": [[0, 1], [1, 2]]},
+            {"nodes": 0, "edges": [], "bags": []},
+            {"nodes": 2, "edges": [[0, "1"]], "bags": [[0, 1], [1, 2]]},
+            {"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], [1, 2]], "width": "1"},
+            {"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], 2]},
+        ],
+    )
+    def test_decomposition_edges_must_form_a_tree(self, capsys, write, dec):
+        assert_parse_error(*verify_artifact(capsys, write, "decomposition", dec))
+        argv = ["colour", write("g.txt", P3), "--h", "2", "--d", "2"]
+        code = main([*argv, "--decomposition", write("dec.json", json.dumps(dec))])
+        assert_parse_error(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "dec",
+        [
+            {"nodes": 2, "edges": [[1, 0]], "bags": [[0, 1], [1, 2]], "width": 1},
+            {"nodes": 1, "edges": [], "bags": [[0, 1, 2]]},
+        ],
+    )
+    def test_tree_shaped_decomposition_still_verifies(self, capsys, write, dec):
+        assert verify_artifact(capsys, write, "decomposition", dec)[0] == 0
+
+    def test_negative_header(self, capsys, write):
+        code = main(["metric", "td", write("g.txt", "p -1 0\n")])
+        assert_parse_error(code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "artifact",
+        [
+            {k: v for k, v in cert_json().items() if k != "d"},
+            cert_json(h=0),
+            cert_json(h="1"),
+            cert_json(branch_sets=[["0", 1]]),
+            cert_json(tree_edges=[]),
+            cert_json(tree_edges=[[[0, 1, 2]]]),
+            cert_json(witness={"0": 0, "1": 2}),
+            cert_json(witness={"0": 0}),
+            cert_json(witness={"x": 0, "0": 0, "1": 1}),
+            pytest.param("[1, 2", id="bad-syntax"),
+            pytest.param("[]", id="not-an-object"),
+            pytest.param("[" * 100000, id="deep-nesting"),
+        ],
+    )
+    def test_model(self, capsys, write, artifact):
+        assert_parse_error(*verify_artifact(capsys, write, "model", artifact))
+
+    def test_huge_integers(self, capsys, write):
+        code, err = verify_artifact(capsys, write, "model", cert_json(h=10**6, d=3))
+        assert code == 2 and err.startswith("resource limit:") and "Traceback" not in err
+        huge = '{"h": 1' + "0" * 5000 + ', "d": 1}'
+        assert_parse_error(*verify_artifact(capsys, write, "model", huge))
+
+    def test_valid_model_still_verifies(self, capsys, write):
+        assert verify_artifact(capsys, write, "model", cert_json())[0] == 0
+
+    @pytest.mark.parametrize(
+        "artifact",
+        [
+            {"colours": [0, 1]},
+            {"colours": [0, 1, 0, 1]},
+            {"colours": [0, "1", 0]},
+            {"colours": [0, 1, 0], "budgets": {"colours": "2"}},
+            {"colours": [0, 1, 0], "budgets": [2, 1]},
+            {},
+        ],
+    )
+    def test_colouring(self, capsys, write, artifact):
+        assert_parse_error(*verify_artifact(capsys, write, "colouring", artifact))
+
+    def test_in_a_subprocess(self, tmp_path):
+        files = {
+            "g.txt": P3,
+            "neg.txt": "p -1 0\n",
+            "short.json": json.dumps({"colours": [0, 1]}),
+            "cycle.json": json.dumps(
+                {"nodes": 3, "edges": [[0, 1], [1, 2], [2, 0]], "bags": [[0, 1], [1, 2], [0, 2]]}
+            ),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        for argv in (
+            ["metric", "td", "neg.txt"],
+            ["verify", "colouring", "g.txt", "short.json"],
+            ["verify", "decomposition", "g.txt", "cycle.json"],
+        ):
+            paths = [str(tmp_path / a) if a in files else a for a in argv]
+            proc = subprocess.run(
+                [sys.executable, "-m", "oddcluster.cli", *paths], capture_output=True, text=True
+            )
+            assert_parse_error(proc.returncode, proc.stderr)
+
+    def test_odd_minor_json_has_the_certificate_fields(self, capsys, write):
+        gp = write("g.txt", serialize_graph(cycle_graph(5)))
+        hp = write("h.txt", "p 3 3\n0 1\n1 2\n0 2\n")
+        code, out = run_cli(capsys, ["odd-minor", gp, hp])
+        assert code == 0
+        assert list(json.loads(out)) == ["found", "branch_sets", "tree_edges", "witness"]

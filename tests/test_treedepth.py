@@ -53,6 +53,19 @@ class TestUGraph:
         with pytest.raises(ResourceLimitError):
             u_graph(10, 10)
 
+    @pytest.mark.parametrize(
+        "h, d",
+        [(13, 2), (2, 4096), (4097, 1), (10**6, 3), pytest.param(10**4000, 2, id="1e4000-2")],
+    )
+    def test_size_cap_on_huge_arguments(self, h, d):
+        # the cap must stop the count before it forms d**h or formats a huge count
+        with pytest.raises(ResourceLimitError):
+            complete_dary_tree(h, d)
+
+    @pytest.mark.parametrize("h, d, n", [(12, 2, 4095), (2, 4095, 4096), (4096, 1, 4096)])
+    def test_largest_trees_under_the_cap(self, h, d, n):
+        assert len(complete_dary_tree(h, d).vertices()) == n
+
     def test_root_is_dominant(self):
         g = u_graph(3, 2)
         assert g.adj[0] == frozenset(range(1, 7))
