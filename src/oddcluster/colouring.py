@@ -8,6 +8,13 @@ U_{h-1,d}-models (assembled with a layered spanning tree into a U_{h,d}
 certificate) or a small hitting set, after which the layer minus the
 hitting set is coloured recursively at h-1.
 
+The whole recursion runs on the input graph and decomposition: a
+sub-problem (a component, a layer's region, what the hitting set leaves) is
+a vertex set of the input, never a relabelled copy.  Each layer restricts
+the input decomposition once, to its region; since the kept nodes of a
+restriction are closed under lowest common ancestors, this is the same tree
+that restricting component by component would give.
+
 Palette discipline: the palette of size f(h) = 2*(f(h-1)+1) splits into an
 even-layer and an odd-layer subpalette of size f(h-1)+1 each; within a
 subpalette the last index is the hitting-set colour and the first f(h-1)
@@ -122,9 +129,9 @@ def monochromatic_components(g, colour):
     return comps
 
 
-def _k1_certificate(g, d):
-    """Non-trivial odd U_{1,d} = K_1 certificate: any edge, coloured red/blue."""
-    a, b = min(g.edges)
+def _k1_certificate(d, edge):
+    """Non-trivial odd U_{1,d} = K_1 certificate: an edge, coloured red/blue."""
+    a, b = edge
     model = Model(
         pattern=u_graph(1, d),
         branch_sets={0: (a, b)},
@@ -187,35 +194,30 @@ def assemble_certificate(g, layering, i, u_i, tree, submodels, h, d):
     return OddModelCertificate(h=h, d=d, model=cert_model, witness=cert_witness)
 
 
-def _restrict(g, dec, xs):
-    """G[xs], its new -> old vertex list, and ``dec`` restricted to G[xs]."""
-    sub, new_to_old = induced_subgraph(g, xs)
-    return sub, new_to_old, restrict_decomposition(dec, {v: i for i, v in enumerate(new_to_old)})
-
-
-def _lift(raw, scope, new_to_old, sub, offset, tag):
-    """Copy a sub-problem's (colour, scope) maps onto host vertices.
-
-    Colours are shifted by ``offset`` into the caller's palette and scopes
-    are prefixed with ``tag``.
-    """
-    sub_raw, sub_scope = sub
-    for v, col in sub_raw.items():
-        raw[new_to_old[v]] = offset + col
-    for v, s in sub_scope.items():
-        scope[new_to_old[v]] = tag + s
-
-
 def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
-    """Colour within the h/d budgets or emit a non-trivial odd U_{h,d}-certificate."""
+    """Colour within the h/d budgets or emit a non-trivial odd U_{h,d}-certificate.
+
+    The budgets are checked on the result: a colouring over f(h) colours or
+    with a cluster over d*w + d - w raises InternalConsistencyError.
+    """
     if h < 1 or d < 1:
         raise ValueError("need h >= 1 and d >= 1")
-    out = _colour_rec(g, h, d, dec, cap, "")
+    out = _colour_rec(g, h, d, dec, cap, frozenset(range(g.n)), "")
     if isinstance(out, OddModelCertificate):
         return out
     raw, scope = out
     _assert_scope_locality(g, raw, scope)
-    return make_colouring(g, raw, scope)
+    colouring = make_colouring(g, raw, scope)
+    budgets = Budgets(h=h, d=d, w=max(dec.width, 0))
+    if colouring.num_colours > budgets.colours:
+        raise InternalConsistencyError(
+            f"{colouring.num_colours} colours exceed the budget {budgets.colours}"
+        )
+    if colouring.max_cluster > budgets.clustering:
+        raise InternalConsistencyError(
+            f"cluster of {colouring.max_cluster} exceeds the budget {budgets.clustering}"
+        )
+    return colouring
 
 
 def _assert_scope_locality(g, raw, scope):
@@ -229,30 +231,36 @@ def _assert_scope_locality(g, raw, scope):
             )
 
 
-def _colour_rec(g, h, d, dec, cap, prefix):
-    """Either (raw colour map, scope map) in palette 0..f(h)-1, or a certificate."""
+def _colour_rec(g, h, d, dec, cap, xs, prefix):
+    """Colour G[xs], a frozenset of host vertices.
+
+    Returns either (raw colour map, scope map) on xs in palette 0..f(h)-1,
+    or a certificate.
+    """
     if h == 1:
-        if g.edges:
-            return _k1_certificate(g, d)
+        edge = min(((a, b) for a in xs for b in g.adj[a] & xs if a < b), default=None)
+        if edge is not None:
+            return _k1_certificate(d, edge)
         tag = f"{prefix}/base" if prefix else "base"
-        return {v: 0 for v in range(g.n)}, {v: tag for v in range(g.n)}
+        return dict.fromkeys(sorted(xs), 0), dict.fromkeys(sorted(xs), tag)
 
     raw = {}
     scope = {}
-    for ci, comp in enumerate(connected_components(g)):
-        gc, comp_map, dec_c = _restrict(g, dec, comp)
-        out = _colour_component(gc, h, d, dec_c, cap, f"{prefix}/c{ci}")
+    for ci, comp in enumerate(connected_components(g, xs)):
+        out = _colour_component(g, h, d, dec, cap, comp, f"{prefix}/c{ci}")
         if isinstance(out, OddModelCertificate):
-            return out.relabel(comp_map)
-        _lift(raw, scope, comp_map, out, 0, "")
+            return out
+        raw.update(out[0])
+        scope.update(out[1])
     return raw, scope
 
 
-def _colour_component(g, h, d, dec, cap, prefix):
-    layering = bfs_layers(g, 0)
+def _colour_component(g, h, d, dec, cap, comp, prefix):
+    """Colour the connected G[comp], layer by layer from its least vertex."""
+    layering = bfs_layers(g, comp[0], comp)
     sub_size = colour_budget(h - 1)
-    raw = {0: 0}
-    scope = {0: f"{prefix}/L0"}
+    raw = {comp[0]: 0}
+    scope = {comp[0]: f"{prefix}/L0"}
     pattern = None  # U_{h-1,d}, built when a layer first needs it
     for i in range(1, len(layering.layers)):
         layer = layering.layers[i]
@@ -265,7 +273,7 @@ def _colour_component(g, h, d, dec, cap, prefix):
             raw[u_i] = hit_colour
             scope[u_i] = hit_scope
             continue
-        gi, region_map, dec_i = _restrict(g, dec, region)
+        dec_i = restrict_decomposition(dec, {v: v for v in region})
         if pattern is None:
             pattern = u_graph(h - 1, d)
         memo = {}
@@ -273,33 +281,32 @@ def _colour_component(g, h, d, dec, cap, prefix):
         def oracle(reg):  # used only by the dichotomy call just below
             key = frozenset(reg)
             if key not in memo:
-                found = find_odd_model(gi, pattern, sorted(key), require_nontrivial=True, cap=cap)
+                found = find_odd_model(g, pattern, sorted(key), require_nontrivial=True, cap=cap)
                 memo[key] = found and Target(tuple(found[0].covered_vertices()), found)
             return memo[key]
 
-        dich = disjoint_or_hitting(gi, dec_i, oracle, d)
+        dich = disjoint_or_hitting(g, dec_i, oracle, d)
         if dich.is_disjoint_arm:
-            submodels = [
-                (model.relabel(region_map), witness.relabel(region_map))
-                for model, witness in (t.payload for t in dich.disjoint)
-            ]
+            submodels = [t.payload for t in dich.disjoint]
             tree = layered_spanning_tree(g, layering, i, u_i)
             return assemble_certificate(g, layering, i, u_i, tree, submodels, h, d)
 
-        hit = sorted(region_map[v] for v in dich.hitting_set) + [u_i]
+        hit = list(dich.hitting_set) + [u_i]
         for v in hit:
             raw[v] = hit_colour
             scope[v] = hit_scope
-        rest = sorted(set(region) - set(hit))
+        rest = frozenset(region) - set(hit)
         if not rest:
             continue
-        gr, rest_map, dec_r = _restrict(g, dec, rest)
-        sub = _colour_rec(gr, h - 1, d, dec_r, cap, f"{prefix}/L{i}")
+        sub = _colour_rec(g, h - 1, d, dec, cap, rest, f"{prefix}/L{i}")
         if isinstance(sub, OddModelCertificate):
             raise InternalConsistencyError(
                 f"odd U_{{{h-1},{d}}}-model found in a region the hitting set certified clean"
             )
-        _lift(raw, scope, rest_map, sub, offset, "")
+        sub_raw, sub_scope = sub
+        for v, col in sub_raw.items():
+            raw[v] = offset + col
+        scope.update(sub_scope)
     return raw, scope
 
 
@@ -329,12 +336,13 @@ def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):
     scope = {}
     for side, offset in (("r", 0), ("b", f_h)):
         side_vertices = [v for v in range(g.n) if partition[v] == side]
-        gs, side_map = induced_subgraph(g, side_vertices)
-        for comp in connected_components(gs):
-            comp_global = [side_map[v] for v in comp]
-            gcomp, comp_map = induced_subgraph(g, comp_global)
+        for comp in connected_components(g, side_vertices):
+            gcomp, comp_map = induced_subgraph(g, comp)
             out = colour_bounded_tw(gcomp, h, d, decompose(gcomp), cap=cap)
             if isinstance(out, OddModelCertificate):
                 return out.relabel(comp_map)
-            _lift(raw, scope, comp_map, (out.colour, out.scope), offset, f"{side}:")
+            for v, col in out.colour.items():
+                raw[comp_map[v]] = offset + col
+            for v, s in out.scope.items():
+                scope[comp_map[v]] = f"{side}:{s}"
     return make_colouring(g, raw, scope)

@@ -48,7 +48,10 @@ def disjoint_or_hitting(g, dec, oracle, ell):
     """Run the dichotomy; exactly one arm of the result is set.
 
     ``oracle(region)`` takes a frozenset of vertices and returns a Target
-    inside that region or None, exhaustively.
+    inside that region or None, exhaustively.  The vertices in play are
+    those of ``dec``'s bags, so ``dec`` may decompose an induced subgraph of
+    ``g`` in ``g``'s own vertex ids.  A hitting set above (ell-1)(width+1)
+    raises InternalConsistencyError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -70,7 +73,12 @@ def disjoint_or_hitting(g, dec, oracle, ell):
                 break
         if hit is None:
             hitting_set = tuple(sorted(hitting))
-            leftover = frozenset(range(g.n)) - set(hitting_set)
+            bound = (ell - 1) * (dec.width + 1)
+            if len(hitting_set) > bound:
+                raise InternalConsistencyError(
+                    f"hitting set of {len(hitting_set)} exceeds (ell-1)(w+1) = {bound}"
+                )
+            leftover = frozenset().union(*dec.bags) - set(hitting_set)
             if leftover and oracle(leftover) is not None:
                 raise InternalConsistencyError(
                     "target survives outside the hitting set"

@@ -129,15 +129,17 @@ class Layering:
         return out
 
 
-def bfs_layers(g, r):
-    """Partition the component of r into distance layers from r."""
-    if not 0 <= r < g.n:
+def bfs_layers(g, r, allowed=None):
+    """Partition the component of r in G[allowed] (all of G when None) into distance layers from r."""
+    if allowed is not None:
+        allowed = frozenset(allowed)
+    if not 0 <= r < g.n or (allowed is not None and r not in allowed):
         raise ValueError(f"invalid root {r}")
     dist = {r: 0}
     order = [r]
     layers = [[r]]
     for v in order:  # grows while read: BFS order
-        for u in sorted(g.adj[v]):
+        for u in sorted(g.adj[v] if allowed is None else g.adj[v] & allowed):
             if u not in dist:
                 dist[u] = dist[v] + 1
                 if dist[u] == len(layers):
@@ -239,13 +241,17 @@ def reach(adj, start, allowed=None, edge_ok=None):
     return seen
 
 
-def connected_components(g):
-    """Maximal connected vertex sets, each sorted, ordered by minimum element."""
+def connected_components(g, xs=None):
+    """Maximal connected vertex sets of G[xs] (all of G when None), each sorted, ordered by minimum element."""
+    if xs is not None:
+        xs = frozenset(xs)
+        if xs and not (0 <= min(xs) and max(xs) < g.n):
+            raise ValueError(f"vertex set leaves 0..{g.n - 1}")
     seen = set()
     comps = []
-    for s in range(g.n):
+    for s in range(g.n) if xs is None else sorted(xs):
         if s not in seen:
-            comp = reach(g.adj, s)
+            comp = reach(g.adj, s, xs)
             seen |= comp
             comps.append(tuple(sorted(comp)))
     return comps

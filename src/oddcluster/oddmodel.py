@@ -109,9 +109,11 @@ def verify_odd_witness(g, model, witness):
     """Check the oddness-witness invariants; returns (ok, first violation)."""
     for v in model.covered_vertices():
         if v not in witness.colour:
-            raise ValueError(f"witness misses covered vertex {v}")
+            return False, f"witness misses covered vertex {v}"
     for x, tree_edges in model.branch_trees.items():
         for a, b in tree_edges:
+            if a not in witness.colour or b not in witness.colour:
+                return False, f"branch tree of {x} has edge ({a},{b}) with an uncoloured end"
             if witness.colour[a] == witness.colour[b]:
                 return False, f"branch tree of {x} has monochromatic edge ({a},{b})"
     for x, y in model.pattern.edges:
@@ -192,7 +194,9 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     Returns ``(Model, Witness)`` for the first model in lexicographic search
     order, or ``None`` with an exhaustiveness guarantee.  Raises
     ResourceLimitError when the region exceeds the cap — callers rely on
-    "None means none exists", so there is no heuristic fallback.
+    "None means none exists", so there is no heuristic fallback.  A region
+    of any size without room for a non-trivial model is answered first:
+    non-trivial branch sets are disjoint and each holds an edge.
     """
     if region is None:
         region = range(g.n)
@@ -200,11 +204,13 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     for v in region:
         if not 0 <= v < g.n:
             raise ValueError(f"invalid region vertex {v}")
+    region_set = set(region)
+    if require_nontrivial and _max_edge_packing_bound(g, region_set) < pattern.n:
+        return None
     if len(region) > cap:
         raise ResourceLimitError(
             f"odd-model search capped at {cap} region vertices, got {len(region)}"
         )
-    region_set = set(region)
     adj = {v: g.adj[v] & region_set for v in region}
     min_size = 2 if require_nontrivial else 1
     order = sorted(range(pattern.n), key=lambda x: (-pattern.degree(x), x))

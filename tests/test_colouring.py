@@ -32,6 +32,7 @@ from oddcluster.generators import (
     empty_graph,
     path_graph,
     random_partial_ktree,
+    random_tree,
     star_graph,
 )
 
@@ -305,3 +306,40 @@ class TestLongInputs:
         assert not isinstance(out, OddModelCertificate)
         ok, why = verify_colouring(g, out, colour_budget(3), clustering_budget(2, dec.width))
         assert ok, why
+
+
+class TestRegionsWithoutRoomForAModel:
+    """Layers far over the search cap colour when they cannot hold a non-trivial model."""
+
+    @pytest.mark.parametrize(
+        "g,h,d",
+        [(star_graph(200), 2, 2), (random_tree(3000, 1), 3, 3)],
+        ids=["star-200-h2d2", "random-tree-3000-h3d3"],
+    )
+    def test_colours_within_budget(self, g, h, d):
+        dec = decompose(g)
+        out = colour_bounded_tw(g, h, d, dec)
+        assert not isinstance(out, OddModelCertificate)
+        ok, why = verify_colouring(g, out, colour_budget(h), clustering_budget(d, dec.width))
+        assert ok, why
+
+
+class TestPostconditions:
+    """The budgets are checked on every colouring; each check can trip."""
+
+    def test_colour_budget(self, monkeypatch):
+        import oddcluster.colouring as colouring
+
+        real = colouring.colour_budget
+        monkeypatch.setattr(colouring, "colour_budget", lambda h: 1 if h == 2 else real(h))
+        g = cycle_graph(8)
+        with pytest.raises(InternalConsistencyError, match="colours exceed"):
+            colour_bounded_tw(g, 2, 2, decompose(g))
+
+    def test_clustering_budget(self, monkeypatch):
+        import oddcluster.colouring as colouring
+
+        monkeypatch.setattr(colouring, "clustering_budget", lambda d, w: 0)
+        g = cycle_graph(8)
+        with pytest.raises(InternalConsistencyError, match="cluster of"):
+            colour_bounded_tw(g, 2, 2, decompose(g))

@@ -207,6 +207,31 @@ class TestRestrictAndTraversal:
         assert shifted is not dec
         assert validate_decomposition(induced_subgraph(g, range(1, 9))[0], shifted)[0]
 
+    def test_restricting_a_restriction_restricts_the_host(self):
+        # the kept nodes are closed under LCA, so a second restriction keeps
+        # what one restriction of the host keeps, in the same pre-order
+        from oddcluster.generators import random_partial_ktree
+
+        rng = random.Random(31)
+        for trial in range(60):
+            g = random_partial_ktree(rng.randint(6, 50), rng.randint(1, 3), trial)
+            dec = exact_treewidth(g)[1] if g.n <= 10 else heuristic_decomposition(g)
+            outer = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            inner = sorted(rng.sample(outer, rng.randint(1, len(outer))))
+            pos = {v: i for i, v in enumerate(outer)}
+            once = restrict_decomposition(dec, {v: pos[v] for v in outer})
+            twice = restrict_decomposition(once, {pos[v]: j for j, v in enumerate(inner)})
+            direct = restrict_decomposition(dec, {v: j for j, v in enumerate(inner)})
+            assert twice.tree.parent == direct.tree.parent
+            assert twice.tree.roots == direct.tree.roots
+            assert twice.bags == direct.bags
+            assert postorder(twice) == postorder(direct)
+            # host ids kept as they are: the same tree, bags before the relabel
+            in_host = restrict_decomposition(dec, {v: v for v in inner})
+            assert in_host.tree.parent == direct.tree.parent
+            assert in_host.tree.roots == direct.tree.roots
+            assert [tuple(inner[j] for j in bag) for bag in direct.bags] == list(in_host.bags)
+
     def test_postorder_long_path_at_default_recursion_limit(self):
         n = 5000
         dec = TreeDecomposition(

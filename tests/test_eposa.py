@@ -12,6 +12,7 @@ from oddcluster import (
 )
 from oddcluster.decomposition import postorder, subtree_bag_unions, trivial_decomposition
 from oddcluster.eposa import Target
+from oddcluster.errors import InternalConsistencyError
 from oddcluster.generators import complete_graph
 from conftest import max_disjoint_triangles, random_small_graph, triangles_of
 
@@ -145,6 +146,23 @@ class TestVirtualTreeRestriction:
                     a = disjoint_or_hitting(sub, virtual, make_oracle(sub), ell)
                     b = disjoint_or_hitting(sub, full, make_oracle(sub), ell)
                     assert a == b
+
+
+class TestHittingSetBound:
+    def test_bag_covering_the_vertices_in_play(self):
+        # dec decomposes G[{3, 4, 5}] in host ids; vertices 0..2 are not in play
+        g = two_triangles()
+        dec = TreeDecomposition(RootedTree(parent={}, roots=(0,)), [(3, 4, 5)])
+        out = disjoint_or_hitting(g, dec, triangle_oracle(g), 2)
+        assert out.hitting_set == (3, 4, 5)
+
+    def test_oversized_hitting_set_raises(self):
+        g = complete_graph(3)
+        dec = trivial_decomposition(g)
+        assert disjoint_or_hitting(g, dec, triangle_oracle(g), 2).hitting_set == (0, 1, 2)
+        dec.width = 1  # (ell-1)(w+1) = 2 < 3
+        with pytest.raises(InternalConsistencyError, match="hitting set"):
+            disjoint_or_hitting(g, dec, triangle_oracle(g), 2)
 
 
 class TestForestDecomposition:

@@ -292,3 +292,38 @@ class TestReachAgainstUnionFind:
     def test_start_outside_allowed_is_reached(self):
         assert reach(path(3).adj, 0, {2}) == {0}
         assert reach(path(3).adj, 1, {0, 2}) == {0, 1, 2}
+
+
+class TestWalksOnVertexSets:
+    """Walking G[xs] inside the host agrees with walking the induced copy."""
+
+    def test_connected_components_of_a_subset(self):
+        for rng, g in sparse_graphs(17, 150):
+            xs = rng.sample(range(g.n), rng.randint(0, g.n))
+            sub, new_to_old = induced_subgraph(g, xs)
+            want = [tuple(new_to_old[v] for v in comp) for comp in connected_components(sub)]
+            assert connected_components(g, xs) == want
+            assert connected_components(g, frozenset(xs)) == want
+
+    def test_bfs_layers_of_a_subset(self):
+        for rng, g in sparse_graphs(19, 150):
+            xs = rng.sample(range(g.n), rng.randint(1, g.n))
+            sub, new_to_old = induced_subgraph(g, xs)
+            root = rng.randrange(sub.n)
+            want = bfs_layers(sub, root)
+            got = bfs_layers(g, new_to_old[root], xs)
+            assert got.root == new_to_old[root]
+            assert got.layers == tuple(
+                tuple(new_to_old[v] for v in layer) for layer in want.layers
+            )
+
+    def test_whole_vertex_set_is_the_graph(self):
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        assert connected_components(g, range(5)) == connected_components(g)
+        assert bfs_layers(g, 1, range(5)) == bfs_layers(g, 1)
+
+    def test_rejects_vertices_outside(self):
+        with pytest.raises(ValueError):
+            connected_components(cycle(3), [0, 7])
+        with pytest.raises(ValueError):
+            bfs_layers(cycle(4), 0, [1, 2])

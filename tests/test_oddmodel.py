@@ -77,10 +77,15 @@ class TestVerifyOddWitness:
         ok, why = verify_odd_witness(g, m, Witness({0: 0, 1: 1, 2: 1, 3: 0}))
         assert ok, why
 
-    def test_missing_vertex_raises(self):
+    def test_missing_vertex_is_reported(self):
         m = Model(K2, {0: (0,), 1: (1,)}, {0: (), 1: ()})
-        with pytest.raises(ValueError):
-            verify_odd_witness(K2, m, Witness({0: 0}))
+        ok, why = verify_odd_witness(K2, m, Witness({0: 0}))
+        assert not ok and "misses covered vertex 1" in why
+
+    def test_tree_edge_leaving_the_witness_is_reported(self):
+        m = Model(K1, {0: (0, 1)}, {0: ((1, 2),)})
+        ok, why = verify_odd_witness(path_graph(3), m, Witness({0: 0, 1: 1}))
+        assert not ok and "uncoloured end" in why
 
     def test_monochromatic_tree_edge(self):
         g = path_graph(2)
