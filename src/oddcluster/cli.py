@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success/found, 1 not-found or verification failure,
-2 resource/parse error, 3 certificate arm of `colour`/`pipeline`.
+2 resource/parse error or a bad command line (an argument out of range
+included), 3 certificate arm of `colour`/`pipeline`.
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .colouring import (
+    D_MAX,
+    H_MAX,
     Budgets,
     OddModelCertificate,
     colour_bounded_tw,
@@ -48,9 +50,24 @@ EXIT_RESOURCE = 2
 EXIT_CERTIFICATE = 3
 
 
-def _default_cap():
-    cap = os.environ.get("ODDCLUSTER_CAP")
-    return int(cap) if cap else FIND_MODEL_CAP
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line in one line on stderr, with exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_RESOURCE, f"{self.prog}: error: {message}\n")
+
+
+def _int_in(lo, hi=None):
+    """An argparse type: an integer in lo..hi, or at least lo when hi is None."""
+
+    def integer(text):
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < lo or (hi is not None and value > hi):
+            span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"expected an integer {span}, got {value}")
+        return value
+
+    return integer
 
 
 def _read(path):
@@ -86,6 +103,8 @@ def cmd_gen(args):
 
 def cmd_metric(args):
     g = _load_graph(args.graph)
+    if args.metric == "ctd" and g.n == 0:
+        raise OddClusterError("connected tree-depth needs at least one vertex")
     if args.metric == "tw":
         value, dec = exact_treewidth(g, cap=args.cap or EXACT_TREEWIDTH_CAP)
         witness = decomposition_to_json(dec)
@@ -100,9 +119,7 @@ def cmd_metric(args):
 def cmd_odd_minor(args):
     g = _load_graph(args.graph)
     h = _load_graph(args.pattern)
-    found = find_odd_model(
-        g, h, require_nontrivial=args.nontrivial, cap=args.cap or _default_cap()
-    )
+    found = find_odd_model(g, h, require_nontrivial=args.nontrivial, cap=args.cap or FIND_MODEL_CAP)
     if found is None:
         _emit({"found": False})
         return EXIT_NOT_FOUND
@@ -130,17 +147,19 @@ def _emit_result(g, out, budgets):
 def cmd_colour(args):
     g = _load_graph(args.graph)
     dec = _load_decomposition(g, args.decomposition) if args.decomposition else decompose(g)
-    out = colour_bounded_tw(g, args.h, args.d, dec, cap=args.cap or _default_cap())
+    out = colour_bounded_tw(g, args.h, args.d, dec, cap=args.cap or FIND_MODEL_CAP)
     return _emit_result(g, out, Budgets(h=args.h, d=args.d, w=max(dec.width, 0)))
 
 
 def cmd_pipeline(args):
     g = _load_graph(args.graph)
     h = _load_graph(args.pattern)
+    if h.n == 0:
+        raise OddClusterError("the pattern needs at least one vertex")
     partition = None
     if args.partition:
         partition = parse_partition(_read(args.partition), g.n)
-    out = colour_pipeline(g, h, partition, cap=args.cap or _default_cap())
+    out = colour_pipeline(g, h, partition, cap=args.cap or FIND_MODEL_CAP)
     return _emit_result(g, out, None)
 
 
@@ -174,27 +193,32 @@ def cmd_verify(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddcluster",
         description="Clustered colouring under excluded odd minors: metrics, "
         "model search, colouring runs and certificate verification.",
     )
-    parser.add_argument("--cap", type=int, default=None, help="override search caps")
+    parser.add_argument(
+        "--cap",
+        type=_int_in(1),
+        help="the odd-model region cap (odd-minor, colour, pipeline), "
+        "the exact-treewidth cap (metric tw) or the tree-depth cap (metric td/ctd)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a graph as an edge list")
     gensub = p.add_subparsers(dest="family", required=True)
     pu = gensub.add_parser("u")
-    pu.add_argument("--h", type=int, required=True)
-    pu.add_argument("--d", type=int, required=True)
+    pu.add_argument("--h", type=_int_in(1), required=True)
+    pu.add_argument("--d", type=_int_in(1), required=True)
     pk = gensub.add_parser("partial-ktree")
-    pk.add_argument("--n", type=int, required=True)
-    pk.add_argument("--k", type=int, required=True)
+    pk.add_argument("--n", type=_int_in(1), required=True)
+    pk.add_argument("--k", type=_int_in(0), required=True)
     pk.add_argument("--seed", type=int, required=True)
     pk.add_argument("--edge-keep", type=float, default=0.8)
-    for fam in ("cycle", "complete", "star"):
+    for fam, least in (("cycle", 3), ("complete", 0), ("star", 1)):
         pf = gensub.add_parser(fam)
-        pf.add_argument("--n", type=int, required=True)
+        pf.add_argument("--n", type=_int_in(least), required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("metric", help="tree-depth, connected tree-depth or treewidth")
@@ -210,8 +234,8 @@ def build_parser():
 
     p = sub.add_parser("colour", help="clustered colouring or U_{h,d} certificate")
     p.add_argument("graph")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--h", type=_int_in(1, H_MAX), required=True)
+    p.add_argument("--d", type=_int_in(1, D_MAX), required=True)
     p.add_argument("--decomposition", default=None)
     p.set_defaults(func=cmd_colour)
 

@@ -13,7 +13,10 @@ sub-problem (a component, a layer's region, what the hitting set leaves) is
 a vertex set of the input, never a relabelled copy.  Each layer restricts
 the input decomposition once, to its region; since the kept nodes of a
 restriction are closed under lowest common ancestors, this is the same tree
-that restricting component by component would give.
+that restricting component by component would give.  The pipeline copies a
+monochromatic component only to decompose it: the bags are mapped back to
+the host's ids and the component is coloured on the host, so colourings and
+certificates come back in host ids with nothing to relabel.
 
 Palette discipline: the palette of size f(h) = 2*(f(h-1)+1) splits into an
 even-layer and an odd-layer subpalette of size f(h-1)+1 each; within a
@@ -26,7 +29,7 @@ this is asserted, not assumed.
 from dataclasses import dataclass, field
 
 from .errors import InternalConsistencyError
-from .decomposition import decompose, restrict_decomposition
+from .decomposition import TreeDecomposition, decompose, restrict_decomposition
 from .eposa import Target, disjoint_or_hitting
 from .graph import bfs_layers, connected_components, induced_subgraph, layered_spanning_tree, reach
 from .oddmodel import (
@@ -40,12 +43,15 @@ from .oddmodel import (
 )
 from .treedepth import u_child_embedding, u_graph
 
+H_MAX = 60  # largest h with a colour budget
+D_MAX = 2**30  # largest d (and width) with a clustering budget
+
 
 def colour_budget(h):
     """3*2^(h-1) - 2, the colour bound at pattern height h."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    if h > 60:
+    if h > H_MAX:
         raise OverflowError("colour budget out of sane range")
     return 3 * 2 ** (h - 1) - 2
 
@@ -54,7 +60,7 @@ def clustering_budget(d, w):
     """d*w + d - w, the cluster-size bound for d branches at width w."""
     if d < 1 or w < 0:
         raise ValueError("need d >= 1 and w >= 0")
-    if d > 2**30 or w > 2**30:
+    if d > D_MAX or w > D_MAX:
         raise OverflowError("clustering budget out of sane range")
     return d * w + d - w
 
@@ -89,11 +95,6 @@ class OddModelCertificate:
     model: Model
     witness: Witness
 
-    def relabel(self, new_of_old):
-        return OddModelCertificate(
-            self.h, self.d, self.model.relabel(new_of_old), self.witness.relabel(new_of_old)
-        )
-
 
 def make_colouring(g, raw_colour, scope=None):
     """Compact raw colour ids to dense 0..k-1 and recompute the cluster size."""
@@ -121,8 +122,8 @@ def monochromatic_components(g, colour):
         classes.setdefault(c, set()).add(v)
     seen = set()
     comps = []
-    for s in range(g.n):
-        if s in colour and s not in seen:
+    for s in sorted(colour):
+        if s not in seen:
             comp = reach(g.adj, s, classes[colour[s]])
             seen |= comp
             comps.append(tuple(sorted(comp)))
@@ -195,14 +196,17 @@ def assemble_certificate(g, layering, i, u_i, tree, submodels, h, d):
 
 
 def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
-    """Colour within the h/d budgets or emit a non-trivial odd U_{h,d}-certificate.
+    """Colour G[X] within the h/d budgets or emit a non-trivial odd U_{h,d}-certificate.
 
+    X is the set of vertices that ``dec``'s bags cover: all of V(G) for a
+    decomposition of g, or part of it for a decomposition of an induced
+    subgraph in g's own ids.  Colourings and certificates are in g's ids.
     The budgets are checked on the result: a colouring over f(h) colours or
     with a cluster over d*w + d - w raises InternalConsistencyError.
     """
     if h < 1 or d < 1:
         raise ValueError("need h >= 1 and d >= 1")
-    out = _colour_rec(g, h, d, dec, cap, frozenset(range(g.n)), "")
+    out = _colour_rec(g, h, d, dec, cap, frozenset().union(*dec.bags), "")
     if isinstance(out, OddModelCertificate):
         return out
     raw, scope = out
@@ -224,11 +228,12 @@ def _assert_scope_locality(g, raw, scope):
     # every monochromatic component must sit inside a single layer of a
     # single recursion scope; same-parity palette reuse relies on this.  A
     # component lies in one scope iff each of its edges does.
-    for a, b in g.edges:
-        if raw[a] == raw[b] and scope[a] != scope[b]:
-            raise InternalConsistencyError(
-                f"monochromatic edge ({a},{b}) joins scopes {scope[a]!r} and {scope[b]!r}"
-            )
+    for a in raw:
+        for b in g.adj[a]:
+            if a < b and b in raw and raw[a] == raw[b] and scope[a] != scope[b]:
+                raise InternalConsistencyError(
+                    f"monochromatic edge ({a},{b}) joins scopes {scope[a]!r} and {scope[b]!r}"
+                )
 
 
 def _colour_rec(g, h, d, dec, cap, xs, prefix):
@@ -273,7 +278,7 @@ def _colour_component(g, h, d, dec, cap, comp, prefix):
             raw[u_i] = hit_colour
             scope[u_i] = hit_scope
             continue
-        dec_i = restrict_decomposition(dec, {v: v for v in region})
+        dec_i = restrict_decomposition(dec, region)
         if pattern is None:
             pattern = u_graph(h - 1, d)
         memo = {}
@@ -338,11 +343,12 @@ def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):
         side_vertices = [v for v in range(g.n) if partition[v] == side]
         for comp in connected_components(g, side_vertices):
             gcomp, comp_map = induced_subgraph(g, comp)
-            out = colour_bounded_tw(gcomp, h, d, decompose(gcomp), cap=cap)
+            dec = decompose(gcomp)
+            dec = TreeDecomposition(dec.tree, [[comp_map[v] for v in bag] for bag in dec.bags])
+            out = colour_bounded_tw(g, h, d, dec, cap=cap)
             if isinstance(out, OddModelCertificate):
-                return out.relabel(comp_map)
+                return out
             for v, col in out.colour.items():
-                raw[comp_map[v]] = offset + col
-            for v, s in out.scope.items():
-                scope[comp_map[v]] = f"{side}:{s}"
+                raw[v] = offset + col
+                scope[v] = f"{side}:{out.scope[v]}"
     return make_colouring(g, raw, scope)

@@ -4,10 +4,13 @@ Exact treewidth runs iterative deepening over elimination orders: for a
 candidate width k it searches for an order eliminating every vertex with
 (filled) degree at most k, memoizing failed eliminated-sets.  The filled
 graph after eliminating a set is independent of the order, so the
-eliminated-set is a sound state key.  Decompositions built from an
-elimination order are normalized to a rooted tree with node 0 as root and
-children ordered by minimum bag element; a restriction numbers its nodes in
-the pre-order of the decomposition it came from.
+eliminated-set is a sound state key; each branch of the search eliminates
+on its own copy of the filled adjacency, the same elimination game that
+min-fill and ``decomposition_from_order`` play.  Decompositions built from
+an elimination order are normalized to a rooted tree with node 0 as root and
+children ordered by minimum bag element.  A restriction to a vertex set
+keeps the host's vertex ids in its bags and numbers its nodes in the
+pre-order of the decomposition it came from.
 
 Every decomposition carries a lazily built trace index (pre-order entry and
 exit times, parents, vertex -> nodes).  Restriction reads it, so its cost
@@ -121,28 +124,6 @@ def validate_decomposition(g, dec):
     return True, None
 
 
-def _reach_through(adj, v, eliminated):
-    """Vertices outside ``eliminated`` reachable from v via eliminated vertices.
-
-    This is exactly v's neighbourhood in the filled graph after eliminating
-    the set, regardless of the order of elimination.
-    """
-    seen = {v}
-    out = set()
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y in seen:
-                continue
-            seen.add(y)
-            if y in eliminated:
-                stack.append(y)
-            else:
-                out.add(y)
-    return out
-
-
 def _eliminate(adj, v):
     """Make v's live neighbourhood a clique and remove v from it."""
     nbrs = adj[v]
@@ -208,40 +189,34 @@ def _degeneracy_lower_bound(g):
 def _find_order_within(g, k):
     """Elimination order with every filled degree <= k, or None.
 
-    Depth-first search over eliminated-sets with a dead-state memo.  A vertex
+    Depth-first search over eliminated-sets with a dead-state memo; each
+    branch eliminates on its own copy of the filled adjacency.  A vertex
     whose filled neighbourhood is a clique (simplicial) can always be
     eliminated first, which collapses the search on chordal-ish inputs.
     """
-    adj = g.adj
-    full = frozenset(range(g.n))
     dead = set()
 
-    def filled_clique(nbrs, eliminated):
-        for a in nbrs:
-            reach_a = _reach_through(adj, a, eliminated)
-            if not nbrs - {a} <= reach_a:
-                return False
-        return True
-
-    def search(eliminated, order):
+    def search(adj, eliminated, order):
         if len(eliminated) == g.n:
             return True
         key = frozenset(eliminated)
         if key in dead:
             return False
         candidates = []
-        for v in sorted(full - eliminated):
-            nbrs = _reach_through(adj, v, eliminated)
-            if len(nbrs) > k:
+        for v in range(g.n):
+            nbrs = adj[v]
+            if v in eliminated or len(nbrs) > k:
                 continue
-            if len(nbrs) <= 1 or filled_clique(nbrs, eliminated):
+            if len(nbrs) <= 1 or all(nbrs - {a} <= adj[a] for a in nbrs):
                 candidates = [v]  # safe to commit without branching
                 break
             candidates.append(v)
         for v in candidates:
+            filled = [set(s) for s in adj]
+            _eliminate(filled, v)
             eliminated.add(v)
             order.append(v)
-            if search(eliminated, order):
+            if search(filled, eliminated, order):
                 return True
             eliminated.discard(v)
             order.pop()
@@ -249,9 +224,9 @@ def _find_order_within(g, k):
         return False
 
     order = []
-    if search(set(), order):
-        return order
-    return None
+    found = search([set(s) for s in g.adj], set(), order)
+    search = None  # drop the closure's reference to itself: no cycle for the collector
+    return order if found else None
 
 
 def decomposition_from_order(g, order):
@@ -276,18 +251,18 @@ def decomposition_from_order(g, order):
 
 
 def _normalize(tree, bags):
-    """Re-root at node 0 (BFS relabelling, children by minimum bag element)."""
+    """Re-root at node 0 (BFS renumbering, children by minimum bag element)."""
     children = tree.children()
     root = tree.roots[0]
-    relabel = {root: 0}
+    new_id = {root: 0}
     order = [root]
     for x in order:  # grows while read: BFS order
         kids = sorted(children[x], key=lambda y: (min(bags[y]) if bags[y] else -1, y))
         for y in kids:
-            relabel[y] = len(relabel)
+            new_id[y] = len(new_id)
             order.append(y)
     new_bags = [bags[x] for x in order]
-    new_parent = {relabel[c]: relabel[p] for c, p in tree.parent.items()}
+    new_parent = {new_id[c]: new_id[p] for c, p in tree.parent.items()}
     return TreeDecomposition(RootedTree(parent=new_parent, roots=(0,)), new_bags)
 
 
@@ -316,25 +291,26 @@ def decompose(g):
     return heuristic_decomposition(g)
 
 
-def restrict_decomposition(dec, old_to_new):
-    """Decomposition of the subgraph induced on the domain of ``old_to_new``.
+def restrict_decomposition(dec, xs):
+    """Decomposition of the subgraph induced on the vertex set ``xs``, in the same ids.
 
-    Keeps the nodes whose bags meet the domain plus the lowest common
-    ancestors of nodes consecutive in pre-order (the virtual tree of the
-    kept nodes), and contracts the paths between them.  A domain vertex's
-    trace lies wholly among the kept nodes and stays connected, so every
-    induced edge stays covered and the width can only shrink.  Kept nodes
-    are numbered in pre-order: ``postorder`` visits them in the same relative
-    order as in ``dec``, and a node left out has an empty bag and the same
-    subtree union as its highest kept descendant, so the dichotomy walk
-    makes the same choices on either decomposition.  When ``old_to_new`` is
-    the identity on every vertex of ``dec``, ``dec`` itself is returned.
+    Keeps the nodes whose bags meet ``xs`` plus the lowest common ancestors
+    of nodes consecutive in pre-order (the virtual tree of the kept nodes),
+    and contracts the paths between them.  A vertex of ``xs`` has its trace
+    wholly among the kept nodes, still connected, so every induced edge
+    stays covered and the width can only shrink.  Kept nodes are numbered in
+    pre-order: ``postorder`` visits them in the same relative order as in
+    ``dec``, and a node left out has an empty bag and the same subtree union
+    as its highest kept descendant, so the dichotomy walk makes the same
+    choices on either decomposition.  When ``xs`` holds every vertex of
+    ``dec``, ``dec`` itself is returned.
     """
     index = _trace_index(dec)
     tin, tout, up, trace = index.tin, index.tout, index.up, index.trace
-    if len(old_to_new) == len(trace) and all(old_to_new.get(v) == v for v in trace):
+    xs = frozenset(xs)
+    if trace.keys() <= xs:
         return dec
-    hits = sorted({x for v in old_to_new for x in trace.get(v, ())}, key=tin.__getitem__)
+    hits = sorted({x for v in xs for x in trace.get(v, ())}, key=tin.__getitem__)
     if not hits:
         return TreeDecomposition(RootedTree(parent={}, roots=(0,)), [()])
     keep = set(hits)
@@ -357,7 +333,7 @@ def restrict_decomposition(dec, old_to_new):
         else:
             roots.append(new_id[x])
         ancestors.append(x)
-    bags = [[old_to_new[v] for v in dec.bags[x] if v in old_to_new] for x in nodes]
+    bags = [[v for v in dec.bags[x] if v in xs] for x in nodes]
     return TreeDecomposition(RootedTree(parent=parent, roots=roots), bags)
 
 

@@ -2,6 +2,10 @@
 
 Vertices are dense integer indices 0..n-1.  All set-valued outputs are
 sorted ascending so that repeated runs produce identical results.
+
+Two walk kernels carry the package's graph walks: ``reach`` when only the
+reached set matters, ``bfs_tree`` when the visit order reaches the output
+(it takes neighbours in ascending order, so the order is fixed by the graph).
 """
 
 from dataclasses import dataclass
@@ -135,17 +139,13 @@ def bfs_layers(g, r, allowed=None):
         allowed = frozenset(allowed)
     if not 0 <= r < g.n or (allowed is not None and r not in allowed):
         raise ValueError(f"invalid root {r}")
-    dist = {r: 0}
-    order = [r]
+    depth = {r: 0}
     layers = [[r]]
-    for v in order:  # grows while read: BFS order
-        for u in sorted(g.adj[v] if allowed is None else g.adj[v] & allowed):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                if dist[u] == len(layers):
-                    layers.append([])
-                layers[dist[u]].append(u)
-                order.append(u)
+    for v, p in bfs_tree(g.adj, r, allowed).items():
+        depth[v] = k = depth[p] + 1
+        if k == len(layers):
+            layers.append([])
+        layers[k].append(v)
     return Layering(root=r, layers=tuple(tuple(sorted(l)) for l in layers))
 
 
@@ -176,20 +176,19 @@ def is_bipartite(g):
     first parity conflict met by BFS.
     """
     colour = {}
-    parent = {}
     for s in range(g.n):
         if s in colour:
             continue
+        tree = bfs_tree(g.adj, s)
         colour[s] = 0
-        queue = [s]
-        for v in queue:  # grows while read: BFS order
+        for v, p in tree.items():
+            colour[v] = 1 - colour[p]
+        # colours never change once given, so the first same-colour edge in
+        # BFS order is the conflict an interleaved BFS would meet first
+        for v in (s, *tree):
             for u in sorted(g.adj[v]):
-                if u not in colour:
-                    colour[u] = 1 - colour[v]
-                    parent[u] = v
-                    queue.append(u)
-                elif colour[u] == colour[v]:
-                    return None, _conflict_cycle(parent, v, u)
+                if colour[u] == colour[v]:
+                    return None, _conflict_cycle(tree, v, u)
     return colour, None
 
 
@@ -239,6 +238,22 @@ def reach(adj, start, allowed=None, edge_ok=None):
                 seen.add(u)
                 stack.append(u)
     return seen
+
+
+def bfs_tree(adj, start, allowed=None, edge_ok=None):
+    """BFS parents ``{v: parent}`` of the vertices ``reach`` finds, start excluded.
+
+    The dict is in visit order, and each vertex's neighbours are taken in
+    ascending order, so the tree and its order are fixed by the graph alone.
+    """
+    parent = {}
+    order = [start]
+    for v in order:  # grows while read: BFS order
+        for u in sorted(adj[v] if allowed is None else adj[v] & allowed):
+            if u not in parent and u != start and (edge_ok is None or edge_ok(v, u)):
+                parent[u] = v
+                order.append(u)
+    return parent
 
 
 def connected_components(g, xs=None):

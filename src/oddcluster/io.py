@@ -10,7 +10,7 @@ ParseError, so the verifiers only ever see well-typed values.
 import json
 
 from .errors import ParseError
-from .graph import Graph, RootedTree
+from .graph import Graph, RootedTree, bfs_tree
 from .decomposition import TreeDecomposition
 from .oddmodel import Model, Witness
 from .colouring import OddModelCertificate
@@ -186,12 +186,6 @@ def decomposition_from_json(data):
     for a, b in edges:
         adj[a].add(b)
         adj[b].add(a)
-    parent = {}
-    order = [0]
-    for x in order:  # grows while read
-        for y in adj[x]:
-            if y != 0 and y not in parent:
-                parent[y] = x
-                order.append(y)
-    _require(len(order) == nodes, "'edges' do not form a tree")  # n - 1 edges joining n nodes do
+    parent = bfs_tree(adj, 0)  # n - 1 edges that reach all n nodes form a tree
+    _require(len(parent) == nodes - 1, "'edges' do not form a tree")
     return TreeDecomposition(RootedTree(parent=parent, roots=(0,)), [tuple(b) for b in bags])

@@ -15,7 +15,7 @@ same colourings, and the latter is cheap to enumerate.
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .graph import Graph, reach
+from .graph import Graph, bfs_tree, reach
 
 FIND_MODEL_CAP = 24
 
@@ -31,30 +31,10 @@ class Model:
     def covered_vertices(self):
         return sorted(v for bs in self.branch_sets.values() for v in bs)
 
-    def relabel(self, new_of_old):
-        return Model(
-            pattern=self.pattern,
-            branch_sets={
-                x: tuple(sorted(new_of_old[v] for v in bs))
-                for x, bs in self.branch_sets.items()
-            },
-            branch_trees={
-                x: tuple(
-                    sorted(
-                        tuple(sorted((new_of_old[a], new_of_old[b]))) for a, b in te
-                    )
-                )
-                for x, te in self.branch_trees.items()
-            },
-        )
-
 
 @dataclass
 class Witness:
     colour: dict  # covered host vertex -> RED | BLUE
-
-    def relabel(self, new_of_old):
-        return Witness(colour={new_of_old[v]: c for v, c in self.colour.items()})
 
 
 def _is_spanning_tree(edges, verts, host):
@@ -145,16 +125,8 @@ def parity_realizable(g, branch_set, colour):
 def _bichromatic_bfs_tree(g, branch_set, colour):
     """Minimum-index BFS tree inside the bichromatic subgraph of G[B]."""
     bs = set(branch_set)
-    queue = [min(bs)]  # read front to back while it grows: BFS order
-    seen = set(queue)
-    edges = []
-    for v in queue:
-        for u in sorted(g.adj[v] & bs):
-            if u not in seen and colour[u] != colour[v]:
-                seen.add(u)
-                queue.append(u)
-                edges.append(tuple(sorted((v, u))))
-    return tuple(sorted(edges))
+    tree = bfs_tree(g.adj, min(bs), bs, lambda v, u: colour[u] != colour[v])
+    return tuple(sorted((min(v, p), max(v, p)) for v, p in tree.items()))
 
 
 def _connected_subsets(adj, available, min_vertex, prune):
@@ -165,21 +137,18 @@ def _connected_subsets(adj, available, min_vertex, prune):
     ``prune(current)`` may return True to cut the whole superset subtree
     (the condition must be monotone in the grown set).
     """
-    allowed = {v for v in available if v > min_vertex}
+    return _grow(adj, {min_vertex}, {v for v in available if v > min_vertex}, prune)
 
-    def grow(current, candidates):
-        yield tuple(sorted(current))
-        if prune(current):
-            return
-        frontier = sorted(
-            {u for v in current for u in adj[v] if u in candidates and u not in current}
-        )
-        banned = set()
-        for u in frontier:
-            yield from grow(current | {u}, candidates - banned)
-            banned.add(u)
 
-    yield from grow({min_vertex}, allowed)
+def _grow(adj, current, candidates, prune):
+    yield tuple(sorted(current))
+    if prune(current):
+        return
+    frontier = sorted({u for v in current for u in adj[v] if u in candidates and u not in current})
+    banned = set()
+    for u in frontier:
+        yield from _grow(adj, current | {u}, candidates - banned, prune)
+        banned.add(u)
 
 
 def _max_edge_packing_bound(g, available):
@@ -257,7 +226,9 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
                 del sets[x]
         return None
 
-    return place(0, region_set, {})
+    found = place(0, region_set, {})
+    place = None  # drop the closure's reference to itself: no cycle for the collector
+    return found
 
 
 def _witness_search(g, pattern, order, sets):
@@ -307,7 +278,9 @@ def _witness_search(g, pattern, order, sets):
             del chosen[x]
         return False
 
-    if not assign(0):
+    odd = assign(0)
+    assign = None  # drop the closure's reference to itself: no cycle for the collector
+    if not odd:
         return None
     colour = {}
     for x in sets:

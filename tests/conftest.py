@@ -7,7 +7,7 @@ library's optimized code paths, so the two can falsify each other.
 import random
 from itertools import combinations, permutations
 
-from oddcluster import Graph
+from oddcluster import Graph, TreeDecomposition
 
 
 def random_small_graph(rng, n_max, n_min=1):
@@ -114,3 +114,9 @@ def all_two_colourings_proper(g):
         if all((bits >> a & 1) != (bits >> b & 1) for a, b in g.edges):
             return True
     return g.n == 0
+
+
+def renumbered(dec, index_map):
+    """``dec`` with host ids renumbered by an ``induced_subgraph`` index map (new -> old)."""
+    pos = {v: i for i, v in enumerate(index_map)}
+    return TreeDecomposition(dec.tree, [[pos[v] for v in bag] for bag in dec.bags])

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 
@@ -16,6 +17,7 @@ from oddcluster import (
     exact_treewidth,
     find_odd_model,
     heuristic_decomposition,
+    induced_subgraph,
     is_nontrivial,
     layered_spanning_tree,
     u_graph,
@@ -24,7 +26,7 @@ from oddcluster import (
     verify_odd_witness,
 )
 from oddcluster.colouring import _assert_scope_locality, monochromatic_components
-from oddcluster.decomposition import decompose, trivial_decomposition
+from oddcluster.decomposition import TreeDecomposition, decompose, trivial_decomposition
 from oddcluster.errors import InternalConsistencyError
 from oddcluster.generators import (
     complete_graph,
@@ -343,3 +345,60 @@ class TestPostconditions:
         g = cycle_graph(8)
         with pytest.raises(InternalConsistencyError, match="cluster of"):
             colour_bounded_tw(g, 2, 2, decompose(g))
+
+
+class TestHostIdDecomposition:
+    """A host-id decomposition of G[xs] colours xs as the relabelled copy G[xs] does."""
+
+    def test_same_result_as_the_induced_copy(self):
+        rng = random.Random(59)
+        arms = set()
+        for trial in range(80):
+            g = random_partial_ktree(rng.randint(4, 30), rng.randint(1, 3), trial)
+            xs = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            h, d = rng.choice(((2, 1), (2, 2), (3, 1), (3, 2)))
+            sub, m = induced_subgraph(g, xs)
+            sub_dec = decompose(sub)
+            dec = TreeDecomposition(sub_dec.tree, [[m[v] for v in bag] for bag in sub_dec.bags])
+            want = colour_bounded_tw(sub, h, d, sub_dec)
+            got = colour_bounded_tw(g, h, d, dec)
+            assert type(got) is type(want)
+            if isinstance(want, OddModelCertificate):
+                arms.add("certificate")
+                check_certificate(g, got)
+                assert got.model.branch_sets == {
+                    x: tuple(m[v] for v in bs) for x, bs in want.model.branch_sets.items()
+                }
+                assert got.model.branch_trees == {
+                    x: tuple((m[a], m[b]) for a, b in te)
+                    for x, te in want.model.branch_trees.items()
+                }
+                assert got.witness.colour == {m[v]: c for v, c in want.witness.colour.items()}
+            else:
+                arms.add("colouring")
+                assert sorted(got.colour) == xs
+                assert got.colour == {m[v]: c for v, c in want.colour.items()}
+                assert got.scope == {m[v]: s for v, s in want.scope.items()}
+                assert (got.num_colours, got.max_cluster) == (want.num_colours, want.max_cluster)
+        assert arms == {"certificate", "colouring"}
+
+
+class TestNoCyclicGarbage:
+    """The searches free what they build as they return, without the cycle collector."""
+
+    @pytest.fixture
+    def collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_find_odd_model(self, collector_off):
+        g = random_partial_ktree(16, 3, 1)
+        assert find_odd_model(g, u_graph(2, 2), require_nontrivial=True) is not None
+        assert gc.collect() == 0
+
+    def test_colour_bounded_tw(self, collector_off):
+        g = random_partial_ktree(16, 3, 1)
+        assert not isinstance(colour_bounded_tw(g, 3, 2, decompose(g)), OddModelCertificate)
+        assert gc.collect() == 0

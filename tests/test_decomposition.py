@@ -21,7 +21,7 @@ from oddcluster.decomposition import (
 )
 from oddcluster.errors import ResourceLimitError
 from oddcluster.generators import complete_graph, cycle_graph, random_tree
-from conftest import brute_treewidth, random_small_graph
+from conftest import brute_treewidth, random_small_graph, renumbered
 
 
 class TestValidate:
@@ -154,9 +154,8 @@ class TestRestrictAndTraversal:
             _, dec = exact_treewidth(g)
             xs = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
             sub, m = induced_subgraph(g, xs)
-            old_to_new = {v: i for i, v in enumerate(m)}
-            rdec = restrict_decomposition(dec, old_to_new)
-            ok, why = validate_decomposition(sub, rdec)
+            rdec = restrict_decomposition(dec, xs)
+            ok, why = validate_decomposition(sub, renumbered(rdec, m))
             assert ok, why
             assert rdec.width <= dec.width
 
@@ -191,8 +190,8 @@ class TestRestrictAndTraversal:
             dec = heuristic_decomposition(g)
             xs = sorted(rng.sample(range(g.n), rng.randint(1, max(1, g.n // 4))))
             sub, m = induced_subgraph(g, xs)
-            rdec = restrict_decomposition(dec, {v: i for i, v in enumerate(m)})
-            ok, why = validate_decomposition(sub, rdec)
+            rdec = restrict_decomposition(dec, xs)
+            ok, why = validate_decomposition(sub, renumbered(rdec, m))
             assert ok, why
             assert rdec.width <= dec.width
             # only bags meeting xs, plus at most one LCA between consecutive ones
@@ -202,10 +201,11 @@ class TestRestrictAndTraversal:
     def test_identity_restriction_is_the_decomposition(self):
         g = cycle_graph(9)
         dec = heuristic_decomposition(g)
-        assert restrict_decomposition(dec, {v: v for v in range(9)}) is dec
-        shifted = restrict_decomposition(dec, {v: v - 1 for v in range(1, 9)})
+        assert restrict_decomposition(dec, range(9)) is dec
+        shifted = restrict_decomposition(dec, range(1, 9))
         assert shifted is not dec
-        assert validate_decomposition(induced_subgraph(g, range(1, 9))[0], shifted)[0]
+        sub, m = induced_subgraph(g, range(1, 9))
+        assert validate_decomposition(sub, renumbered(shifted, m))[0]
 
     def test_restricting_a_restriction_restricts_the_host(self):
         # the kept nodes are closed under LCA, so a second restriction keeps
@@ -218,19 +218,16 @@ class TestRestrictAndTraversal:
             dec = exact_treewidth(g)[1] if g.n <= 10 else heuristic_decomposition(g)
             outer = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
             inner = sorted(rng.sample(outer, rng.randint(1, len(outer))))
-            pos = {v: i for i, v in enumerate(outer)}
-            once = restrict_decomposition(dec, {v: pos[v] for v in outer})
-            twice = restrict_decomposition(once, {pos[v]: j for j, v in enumerate(inner)})
-            direct = restrict_decomposition(dec, {v: j for j, v in enumerate(inner)})
+            once = restrict_decomposition(dec, outer)
+            twice = restrict_decomposition(once, inner)
+            direct = restrict_decomposition(dec, inner)
             assert twice.tree.parent == direct.tree.parent
             assert twice.tree.roots == direct.tree.roots
             assert twice.bags == direct.bags
             assert postorder(twice) == postorder(direct)
-            # host ids kept as they are: the same tree, bags before the relabel
-            in_host = restrict_decomposition(dec, {v: v for v in inner})
-            assert in_host.tree.parent == direct.tree.parent
-            assert in_host.tree.roots == direct.tree.roots
-            assert [tuple(inner[j] for j in bag) for bag in direct.bags] == list(in_host.bags)
+            sub, m = induced_subgraph(g, inner)
+            ok, why = validate_decomposition(sub, renumbered(direct, m))
+            assert ok, why
 
     def test_postorder_long_path_at_default_recursion_limit(self):
         n = 5000
@@ -303,6 +300,52 @@ def reference_validate(g, dec):
     return True, None
 
 
+def reference_find_order_within(g, k):
+    """Order search as first written: filled neighbourhoods by walks through the eliminated set."""
+
+    def reach_through(v, eliminated):
+        seen, out, stack = {v}, set(), [v]
+        while stack:
+            for y in g.adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    if y in eliminated:
+                        stack.append(y)
+                    else:
+                        out.add(y)
+        return out
+
+    dead = set()
+
+    def search(eliminated, order):
+        if len(eliminated) == g.n:
+            return True
+        key = frozenset(eliminated)
+        if key in dead:
+            return False
+        candidates = []
+        for v in sorted(set(range(g.n)) - eliminated):
+            nbrs = reach_through(v, eliminated)
+            if len(nbrs) > k:
+                continue
+            if len(nbrs) <= 1 or all(nbrs - {a} <= reach_through(a, eliminated) for a in nbrs):
+                candidates = [v]
+                break
+            candidates.append(v)
+        for v in candidates:
+            eliminated.add(v)
+            order.append(v)
+            if search(eliminated, order):
+                return True
+            eliminated.discard(v)
+            order.pop()
+        dead.add(key)
+        return False
+
+    order = []
+    return order if search(set(), order) else None
+
+
 class TestAgainstReferences:
     def test_heap_min_fill_matches_quadratic_order(self):
         from oddcluster.decomposition import _min_fill_order
@@ -316,6 +359,24 @@ class TestAgainstReferences:
             graphs.append(random_partial_ktree(rng.randint(5, 40), rng.randint(1, 4), trial))
         for g in graphs:
             assert _min_fill_order(g) == reference_min_fill_order(g)
+
+    def test_order_search_matches_the_reach_through_game(self):
+        from oddcluster.decomposition import _find_order_within
+        from oddcluster.generators import random_graph, random_partial_ktree
+
+        rng = random.Random(53)
+        graphs = [cycle_graph(6), complete_graph(5), Graph(4)]
+        for trial in range(40):
+            graphs.append(random_small_graph(rng, 9))
+            graphs.append(random_graph(rng.randint(4, 11), rng.random() * 0.6, trial))
+            graphs.append(random_partial_ktree(rng.randint(4, 12), rng.randint(1, 3), trial))
+        found = 0
+        for g in graphs:
+            for k in range(min(g.n, 5)):
+                want = reference_find_order_within(g, k)
+                assert _find_order_within(g, k) == want
+                found += want is not None
+        assert found > 50
 
     def test_validation_reports_the_same_violation(self):
         from oddcluster.generators import random_partial_ktree

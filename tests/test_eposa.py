@@ -14,7 +14,7 @@ from oddcluster.decomposition import postorder, subtree_bag_unions, trivial_deco
 from oddcluster.eposa import Target
 from oddcluster.errors import InternalConsistencyError
 from oddcluster.generators import complete_graph
-from conftest import max_disjoint_triangles, random_small_graph, triangles_of
+from conftest import max_disjoint_triangles, random_small_graph, renumbered, triangles_of
 
 
 def triangle_oracle(g):
@@ -102,14 +102,9 @@ class TestDichotomy:
         assert [t.support for t in a.disjoint] == [t.support for t in b.disjoint]
 
 
-def full_tree_restriction(dec, old_to_new):
-    """Restriction as first written: every node kept, bags cut to the domain."""
-    from oddcluster import TreeDecomposition
-
-    bags = [
-        tuple(sorted(old_to_new[v] for v in bag if v in old_to_new)) for bag in dec.bags
-    ]
-    return TreeDecomposition(dec.tree, bags)
+def full_tree_restriction(dec, xs):
+    """Restriction as first written: every node kept, bags cut to ``xs``."""
+    return TreeDecomposition(dec.tree, [[v for v in bag if v in xs] for bag in dec.bags])
 
 
 def edge_oracle(g):
@@ -133,18 +128,19 @@ class TestVirtualTreeRestriction:
             g = random_partial_ktree(rng.randint(8, 40), rng.randint(2, 3), trial, edge_keep=0.9)
             dec = heuristic_decomposition(g)
             xs = sorted(rng.sample(range(g.n), rng.randint(3, g.n)))
+            virtual = restrict_decomposition(dec, xs)
+            full = full_tree_restriction(dec, set(xs))
             sub, m = induced_subgraph(g, xs)
-            old_to_new = {v: i for i, v in enumerate(m)}
-            virtual = restrict_decomposition(dec, old_to_new)
-            full = full_tree_restriction(dec, old_to_new)
+            ok, why = validate_decomposition(sub, renumbered(virtual, m))
+            assert ok, why
             # the non-empty bags come in the same post-order on both trees
             assert [virtual.bags[x] for x in postorder(virtual) if virtual.bags[x]] == [
                 full.bags[x] for x in postorder(full) if full.bags[x]
             ]
             for make_oracle in (triangle_oracle, edge_oracle):
                 for ell in (1, 2, 3):
-                    a = disjoint_or_hitting(sub, virtual, make_oracle(sub), ell)
-                    b = disjoint_or_hitting(sub, full, make_oracle(sub), ell)
+                    a = disjoint_or_hitting(g, virtual, make_oracle(g), ell)
+                    b = disjoint_or_hitting(g, full, make_oracle(g), ell)
                     assert a == b
 
 

@@ -13,7 +13,7 @@ from oddcluster import (
     layered_spanning_tree,
 )
 from oddcluster.colouring import monochromatic_components
-from oddcluster.graph import reach
+from oddcluster.graph import _conflict_cycle, bfs_tree, reach
 from conftest import all_two_colourings_proper, check_layered_tree, random_small_graph
 
 
@@ -327,3 +327,49 @@ class TestWalksOnVertexSets:
             connected_components(cycle(3), [0, 7])
         with pytest.raises(ValueError):
             bfs_layers(cycle(4), 0, [1, 2])
+
+
+def reference_is_bipartite(g):
+    """Bipartiteness as first written: colours and conflict checks interleaved in one BFS."""
+    colour, parent = {}, {}
+    for s in range(g.n):
+        if s in colour:
+            continue
+        colour[s] = 0
+        queue = [s]
+        for v in queue:
+            for u in sorted(g.adj[v]):
+                if u not in colour:
+                    colour[u] = 1 - colour[v]
+                    parent[u] = v
+                    queue.append(u)
+                elif colour[u] == colour[v]:
+                    return None, _conflict_cycle(parent, v, u)
+    return colour, None
+
+
+class TestBfsTree:
+    def test_path_from_the_middle(self):
+        assert list(bfs_tree(path(5).adj, 2).items()) == [(1, 2), (3, 2), (0, 1), (4, 3)]
+
+    def test_is_a_bfs_tree_of_what_reach_finds(self):
+        for rng, g in sparse_graphs(23, 150):
+            xs = set(rng.sample(range(g.n), rng.randint(1, g.n)))
+            start = min(xs)
+            side = {v: rng.random() < 0.5 for v in range(g.n)}
+
+            def two_sided(v, u):
+                return side[v] != side[u]
+
+            for allowed, edge_ok in ((None, None), (xs, None), (xs, two_sided)):
+                tree = bfs_tree(g.adj, start, allowed, edge_ok)
+                assert {start, *tree} == reach(g.adj, start, allowed, edge_ok)
+                depth = {start: 0}
+                for v, p in tree.items():  # parents come before their children
+                    assert v in g.adj[p] and (edge_ok is None or edge_ok(p, v))
+                    depth[v] = depth[p] + 1
+                assert list(depth.values()) == sorted(depth.values())
+
+    def test_is_bipartite_meets_the_interleaved_conflict(self):
+        for _, g in sparse_graphs(29, 300):
+            assert is_bipartite(g) == reference_is_bipartite(g)

@@ -346,19 +346,48 @@ class TestMalformedInputs:
             "cycle.json": json.dumps(
                 {"nodes": 3, "edges": [[0, 1], [1, 2], [2, 0]], "bags": [[0, 1], [1, 2], [0, 2]]}
             ),
+            "empty.txt": "p 0 0\n",
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
+
+        def run(argv):
+            paths = [str(tmp_path / a) if a in files else a for a in argv]
+            return subprocess.run(
+                [sys.executable, "-m", "oddcluster.cli", *paths], capture_output=True, text=True
+            )
+
         for argv in (
             ["metric", "td", "neg.txt"],
             ["verify", "colouring", "g.txt", "short.json"],
             ["verify", "decomposition", "g.txt", "cycle.json"],
         ):
-            paths = [str(tmp_path / a) if a in files else a for a in argv]
-            proc = subprocess.run(
-                [sys.executable, "-m", "oddcluster.cli", *paths], capture_output=True, text=True
-            )
+            proc = run(argv)
             assert_parse_error(proc.returncode, proc.stderr)
+        # out-of-range arguments: exit 2 with a one-line message
+        for argv in (
+            ["colour", "g.txt", "--h", "0", "--d", "2"],
+            ["colour", "g.txt", "--h", "2", "--d", "0"],
+            ["colour", "g.txt", "--h", "70", "--d", "2"],
+            ["gen", "cycle", "--n", "2"],
+            ["gen", "u", "--h", "0", "--d", "2"],
+            ["gen", "partial-ktree", "--n", "0", "--k", "2", "--seed", "1"],
+            ["gen", "star", "--n", "0"],
+            ["metric", "ctd", "empty.txt"],
+            ["pipeline", "g.txt", "empty.txt"],
+            ["--cap", "0", "colour", "g.txt", "--h", "2", "--d", "2"],
+            ["--cap", "abc", "odd-minor", "g.txt", "g.txt"],
+        ):
+            proc = run(argv)
+            assert proc.returncode == 2, argv
+            assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr, argv
+
+    def test_cap_is_set_by_the_option_alone(self, capsys, monkeypatch, write):
+        monkeypatch.setenv("ODDCLUSTER_CAP", "abc")
+        gp = write("g.txt", serialize_graph(cycle_graph(5)))
+        hp = write("h.txt", "p 3 3\n0 1\n1 2\n0 2\n")
+        assert run_cli(capsys, ["odd-minor", gp, hp])[0] == 0
+        assert run_cli(capsys, ["--cap", "4", "odd-minor", gp, hp])[0] == 2
 
     def test_odd_minor_json_has_the_certificate_fields(self, capsys, write):
         gp = write("g.txt", serialize_graph(cycle_graph(5)))
