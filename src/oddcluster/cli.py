@@ -20,6 +20,7 @@ from .colouring import (
 )
 from .decomposition import EXACT_TREEWIDTH_CAP, decompose, exact_treewidth, validate_decomposition
 from .errors import OddClusterError, ParseError, ResourceLimitError
+from .graph import MAX_VERTICES
 from .generators import (
     complete_graph,
     cycle_graph,
@@ -58,13 +59,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_in(lo, hi=None):
-    """An argparse type: an integer in lo..hi, or at least lo when hi is None."""
+    """An argparse type: an integer in lo..hi, or at least lo when hi is None.
+
+    ``hi`` is a cap, so a value above it is reported as a resource limit.
+    """
 
     def integer(text):
         value = int(text)  # argparse reports a ValueError as "invalid integer value"
-        if value < lo or (hi is not None and value > hi):
-            span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        if value < lo:
             raise argparse.ArgumentTypeError(f"expected an integer {span}, got {value}")
+        if hi is not None and value > hi:  # the value itself may run to thousands of digits
+            raise argparse.ArgumentTypeError(f"resource limit: expected an integer {span}")
         return value
 
     return integer
@@ -212,13 +218,13 @@ def build_parser():
     pu.add_argument("--h", type=_int_in(1), required=True)
     pu.add_argument("--d", type=_int_in(1), required=True)
     pk = gensub.add_parser("partial-ktree")
-    pk.add_argument("--n", type=_int_in(1), required=True)
+    pk.add_argument("--n", type=_int_in(1, MAX_VERTICES), required=True)
     pk.add_argument("--k", type=_int_in(0), required=True)
     pk.add_argument("--seed", type=int, required=True)
     pk.add_argument("--edge-keep", type=float, default=0.8)
     for fam, least in (("cycle", 3), ("complete", 0), ("star", 1)):
         pf = gensub.add_parser(fam)
-        pf.add_argument("--n", type=_int_in(least), required=True)
+        pf.add_argument("--n", type=_int_in(least, MAX_VERTICES), required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("metric", help="tree-depth, connected tree-depth or treewidth")

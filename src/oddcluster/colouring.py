@@ -344,7 +344,7 @@ def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):
         for comp in connected_components(g, side_vertices):
             gcomp, comp_map = induced_subgraph(g, comp)
             dec = decompose(gcomp)
-            dec = TreeDecomposition(dec.tree, [[comp_map[v] for v in bag] for bag in dec.bags])
+            dec = TreeDecomposition(dec.parent, [[comp_map[v] for v in bag] for bag in dec.bags])
             out = colour_bounded_tw(g, h, d, dec, cap=cap)
             if isinstance(out, OddModelCertificate):
                 return out

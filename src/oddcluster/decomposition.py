@@ -6,89 +6,92 @@ candidate width k it searches for an order eliminating every vertex with
 graph after eliminating a set is independent of the order, so the
 eliminated-set is a sound state key; each branch of the search eliminates
 on its own copy of the filled adjacency, the same elimination game that
-min-fill and ``decomposition_from_order`` play.  Decompositions built from
-an elimination order are normalized to a rooted tree with node 0 as root and
-children ordered by minimum bag element.  A restriction to a vertex set
-keeps the host's vertex ids in its bags and numbers its nodes in the
-pre-order of the decomposition it came from.
+min-fill and ``decomposition_from_order`` play.
 
-Every decomposition carries a lazily built trace index (pre-order entry and
-exit times, parents, vertex -> nodes).  Restriction reads it, so its cost
-follows the bags that meet the domain rather than the size of the tree, and
-validation checks coverage and connectivity with it in one pass over the
-bags.
+Every decomposition numbers its nodes in pre-order and stores its tree as a
+parent array, so the subtree of node x is the node range ``x .. end[x] - 1``
+and one pass over the ids walks the tree.  A decomposition built from an
+elimination order is rooted at its last bag, children visited by minimum
+bag element.  A restriction to a vertex set keeps the host's vertex ids in
+its bags and its kept nodes in the order of the decomposition it came from;
+it reads the lazily built vertex -> nodes trace, so its cost follows the
+bags that meet the domain rather than the size of the tree.
 """
 
 import heapq
 
 from .errors import ResourceLimitError
-from .graph import Graph, RootedTree
 
 EXACT_TREEWIDTH_CAP = 18
 
 
 class TreeDecomposition:
-    """Tree of bags over a host graph; width = max bag size - 1."""
+    """Tree (or forest) of bags over a host graph; width = max bag size - 1.
 
-    __slots__ = ("tree", "bags", "width", "_index")
+    Nodes are numbered in pre-order: ``parent[x]`` is x's parent, -1 at a
+    root, and precedes x; siblings and roots are visited in id order.  The
+    subtree of x is the node range ``x .. end[x] - 1``, so x is an ancestor
+    of y (or y itself) iff ``x <= y < end[x]``.  The constructor derives
+    ``end`` in one pass and raises ValueError for a parent array that is not
+    in pre-order.
+    """
 
-    def __init__(self, tree, bags):
-        self.tree = tree
+    __slots__ = ("parent", "end", "bags", "width", "_trace")
+
+    def __init__(self, parent, bags):
+        self.parent = tuple(parent)
         self.bags = tuple(tuple(sorted(b)) for b in bags)
+        n = len(self.bags)
+        if len(self.parent) != n:
+            raise ValueError(f"{len(self.parent)} parents for {n} bags")
+        end = [n] * n
+        path = []  # the node last read and its ancestors, root first
+        for x, p in enumerate(self.parent):
+            while path and path[-1] != p:
+                end[path.pop()] = x
+            if p != -1 and not path:
+                raise ValueError(f"node {x}'s parent {p} is not on the pre-order path")
+            path.append(x)
+        self.end = tuple(end)
         self.width = max((len(b) for b in self.bags), default=0) - 1
-        self._index = None
+        self._trace = None
 
     @property
     def num_nodes(self):
         return len(self.bags)
 
+    @property
+    def trace(self):
+        """Vertex -> the nodes whose bags hold it, ascending; built on first use."""
+        if self._trace is None:
+            trace = {}
+            for x, bag in enumerate(self.bags):
+                for v in bag:
+                    nodes = trace.setdefault(v, [])
+                    if not nodes or nodes[-1] != x:  # bags are sorted: repeats are adjacent
+                        nodes.append(x)
+            self._trace = trace
+        return self._trace
+
     def __repr__(self):
         return f"TreeDecomposition(nodes={self.num_nodes}, width={self.width})"
 
 
-class _TraceIndex:
-    """Pre-order entry/exit times, parents and vertex -> nodes of one decomposition.
+def preorder_decomposition(children, roots, bags):
+    """The decomposition of a forest given by child lists, its nodes renumbered in pre-order.
 
-    Node x is an ancestor of node y (or y itself) iff
-    ``tin[x] <= tin[y] < tout[x]``.  ``up[x]`` is x's parent, -1 at a root.
-    ``trace[v]`` lists the nodes whose bags hold v, in pre-order.
+    ``children[x]`` and ``roots`` are visited in list order; ``bags[x]`` is
+    node x's bag.
     """
-
-    __slots__ = ("tin", "tout", "up", "trace")
-
-    def __init__(self, dec):
-        children = dec.tree.children()
-        n = dec.num_nodes
-        order = []
-        stack = list(reversed(dec.tree.roots))
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            stack.extend(reversed(children[x]))
-        self.up = [-1] * n
-        for c, p in dec.tree.parent.items():
-            self.up[c] = p
-        self.tin = [0] * n
-        size = [1] * n
-        for i, x in enumerate(order):
-            self.tin[x] = i
-        for x in reversed(order):
-            if self.up[x] >= 0:
-                size[self.up[x]] += size[x]
-        self.tout = [self.tin[x] + size[x] for x in range(n)]
-        self.trace = {}
-        for x in order:
-            for v in dec.bags[x]:
-                nodes = self.trace.setdefault(v, [])
-                if not nodes or nodes[-1] != x:  # bags are sorted: repeats are adjacent
-                    nodes.append(x)
-
-
-def _trace_index(dec):
-    """The decomposition's trace index, built on first use and kept on ``dec``."""
-    if dec._index is None:
-        dec._index = _TraceIndex(dec)
-    return dec._index
+    order = []
+    parent = []
+    stack = [(r, -1) for r in reversed(roots)]
+    while stack:
+        x, p = stack.pop()
+        stack.extend((y, len(order)) for y in reversed(children[x]))
+        order.append(x)
+        parent.append(p)
+    return TreeDecomposition(parent, [bags[x] for x in order])
 
 
 def validate_decomposition(g, dec):
@@ -98,21 +101,20 @@ def validate_decomposition(g, dec):
     traces meet, and a trace of t nodes is connected iff exactly t - 1 tree
     edges join two of its nodes.
     """
-    if dec.tree.vertices() != set(range(dec.num_nodes)):
-        return False, "decomposition tree nodes do not match bag indices"
     for b in dec.bags:
         for v in b:
             if not 0 <= v < g.n:
                 return False, f"bag contains invalid vertex {v}"
-    trace = {v: set(nodes) for v, nodes in _trace_index(dec).trace.items()}
+    trace = {v: set(nodes) for v, nodes in dec.trace.items()}
     for a, b in g.edges:
         if trace.get(a, set()).isdisjoint(trace.get(b, ())):
             return False, f"edge ({a},{b}) not covered by any bag"
     bag_sets = [set(b) for b in dec.bags]
     inner_edges = dict.fromkeys(trace, 0)
-    for c, p in dec.tree.parent.items():
-        for v in bag_sets[c] & bag_sets[p]:
-            inner_edges[v] += 1
+    for c, p in enumerate(dec.parent):
+        if p >= 0:
+            for v in bag_sets[c] & bag_sets[p]:
+                inner_edges[v] += 1
     for v in range(g.n):
         if v not in trace:
             return False, f"vertex {v} appears in no bag"
@@ -230,40 +232,25 @@ def _find_order_within(g, k):
 
 
 def decomposition_from_order(g, order):
-    """Build a normalized decomposition from an elimination order."""
+    """Build a decomposition from an elimination order, rooted at its last bag.
+
+    Siblings are visited by minimum bag element, ties by bag index.
+    """
     if g.n == 0:
-        return TreeDecomposition(RootedTree(parent={}, roots=(0,)), [()])
+        return TreeDecomposition((-1,), [()])
     adj = [set(s) for s in g.adj]
     bags = []
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
         bags.append(adj[v] | {v})
         _eliminate(adj, v)
-    parent = {}
+    children = [[] for _ in order]
     for i, v in enumerate(order[:-1]):
-        later = [u for u in bags[i] if u != v]
-        if later:
-            parent[i] = pos[min(later, key=lambda u: pos[u])]
-        else:
-            parent[i] = i + 1  # keep the tree connected for isolated pieces
-    tree = RootedTree(parent=parent, roots=(len(order) - 1,))
-    return _normalize(tree, bags)
-
-
-def _normalize(tree, bags):
-    """Re-root at node 0 (BFS renumbering, children by minimum bag element)."""
-    children = tree.children()
-    root = tree.roots[0]
-    new_id = {root: 0}
-    order = [root]
-    for x in order:  # grows while read: BFS order
-        kids = sorted(children[x], key=lambda y: (min(bags[y]) if bags[y] else -1, y))
-        for y in kids:
-            new_id[y] = len(new_id)
-            order.append(y)
-    new_bags = [bags[x] for x in order]
-    new_parent = {new_id[c]: new_id[p] for c, p in tree.parent.items()}
-    return TreeDecomposition(RootedTree(parent=new_parent, roots=(0,)), new_bags)
+        later = [pos[u] for u in bags[i] if u != v]
+        children[min(later) if later else i + 1].append(i)  # the next bag joins isolated pieces
+    for kids in children:
+        kids.sort(key=lambda y: min(bags[y]))  # stable: ties stay in index order
+    return preorder_decomposition(children, [len(order) - 1], bags)
 
 
 def exact_treewidth(g, cap=EXACT_TREEWIDTH_CAP):
@@ -295,71 +282,67 @@ def restrict_decomposition(dec, xs):
     """Decomposition of the subgraph induced on the vertex set ``xs``, in the same ids.
 
     Keeps the nodes whose bags meet ``xs`` plus the lowest common ancestors
-    of nodes consecutive in pre-order (the virtual tree of the kept nodes),
-    and contracts the paths between them.  A vertex of ``xs`` has its trace
-    wholly among the kept nodes, still connected, so every induced edge
-    stays covered and the width can only shrink.  Kept nodes are numbered in
-    pre-order: ``postorder`` visits them in the same relative order as in
-    ``dec``, and a node left out has an empty bag and the same subtree union
-    as its highest kept descendant, so the dichotomy walk makes the same
-    choices on either decomposition.  When ``xs`` holds every vertex of
-    ``dec``, ``dec`` itself is returned.
+    of kept nodes consecutive in id order (the virtual tree of the kept
+    nodes), and contracts the paths between them.  A vertex of ``xs`` has
+    its trace wholly among the kept nodes, still connected, so every induced
+    edge stays covered and the width can only shrink.  Kept nodes keep their
+    relative order, which is a pre-order of the contracted tree:
+    ``postorder`` visits them in the same relative order as in ``dec``, and
+    a node left out has an empty bag and the same subtree union as its
+    highest kept descendant, so the dichotomy walk makes the same choices on
+    either decomposition.  When ``xs`` holds every vertex of ``dec``, ``dec``
+    itself is returned.
     """
-    index = _trace_index(dec)
-    tin, tout, up, trace = index.tin, index.tout, index.up, index.trace
+    trace = dec.trace
     xs = frozenset(xs)
     if trace.keys() <= xs:
         return dec
-    hits = sorted({x for v in xs for x in trace.get(v, ())}, key=tin.__getitem__)
+    hits = sorted({x for v in xs for x in trace.get(v, ())})
     if not hits:
-        return TreeDecomposition(RootedTree(parent={}, roots=(0,)), [()])
+        return TreeDecomposition((-1,), [()])
+    parent, end = dec.parent, dec.end
     keep = set(hits)
     for a, b in zip(hits, hits[1:]):
         x = a
-        while x >= 0 and not tin[x] <= tin[b] < tout[x]:
-            x = up[x]
+        while x >= 0 and end[x] <= b:  # x <= a < b: x is b's ancestor iff b < end[x]
+            x = parent[x]
         if x >= 0:  # a and b lie in one tree of the forest
             keep.add(x)
-    nodes = sorted(keep, key=tin.__getitem__)
-    new_id = {x: i for i, x in enumerate(nodes)}
-    parent = {}
-    roots = []
-    ancestors = []
+    nodes = sorted(keep)
+    new_parent = []
+    path = []  # new ids of the kept ancestors of the node read
     for x in nodes:
-        while ancestors and tout[ancestors[-1]] <= tin[x]:
-            ancestors.pop()
-        if ancestors:
-            parent[new_id[x]] = new_id[ancestors[-1]]
-        else:
-            roots.append(new_id[x])
-        ancestors.append(x)
+        while path and end[nodes[path[-1]]] <= x:
+            path.pop()
+        new_parent.append(path[-1] if path else -1)
+        path.append(len(new_parent) - 1)
     bags = [[v for v in dec.bags[x] if v in xs] for x in nodes]
-    return TreeDecomposition(RootedTree(parent=parent, roots=roots), bags)
+    return TreeDecomposition(new_parent, bags)
 
 
 def trivial_decomposition(g):
     """Single bag holding all of V(G)."""
-    return TreeDecomposition(RootedTree(parent={}, roots=(0,)), [tuple(range(g.n))])
+    return TreeDecomposition((-1,), [tuple(range(g.n))])
 
 
 def subtree_bag_unions(dec):
     """For each node, the union of bags in its rooted subtree."""
     out = [set(b) for b in dec.bags]
-    parent = dec.tree.parent
-    for x in postorder(dec):
-        if x in parent:
+    parent = dec.parent
+    for x in reversed(range(len(out))):  # children come after their parents
+        if parent[x] >= 0:
             out[parent[x]] |= out[x]
     return out
 
 
 def postorder(dec):
-    """Post-order traversal of the decomposition forest, roots and children in index order."""
-    children = dec.tree.children()
+    """Post-order traversal of the decomposition forest, roots and children in id order."""
+    end = dec.end
     out = []
-    stack = list(dec.tree.roots)
-    while stack:  # pre-order with the children reversed, read backwards
-        x = stack.pop()
-        out.append(x)
-        stack.extend(children[x])
-    out.reverse()
+    path = []
+    for x in range(dec.num_nodes):
+        while path and end[path[-1]] <= x:  # subtree finished
+            out.append(path.pop())
+        path.append(x)
+    out.extend(reversed(path))
     return out

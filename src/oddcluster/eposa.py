@@ -4,11 +4,14 @@ Given an exact oracle for connected target subgraphs, either collect ``ell``
 pairwise disjoint targets, or return a hitting set of size at most
 (ell-1) * (width+1) after which the oracle finds nothing.
 
-The procedure walks the rooted decomposition in post-order and
-repeatedly takes a deepest node whose subtree region still holds a target;
-it records the target, adds the node's (surviving) bag to the hitting set
-and deletes the whole subtree region.  Recorded targets live in regions
-deleted before later iterations, so they are pairwise disjoint.
+The procedure walks the rooted decomposition once, in post-order, and
+stops at each node whose subtree region still holds a target: it records
+the target, adds the node's (surviving) bag to the hitting set and deletes
+the whole subtree region.  Recorded targets live in regions deleted before
+later stops, so they are pairwise disjoint.  The walk goes on after a stop
+rather than starting over: a node passed earlier found nothing in a
+superset of its region now, and the oracle is exact, so it would find
+nothing again.
 """
 
 from dataclasses import dataclass
@@ -55,38 +58,30 @@ def disjoint_or_hitting(g, dec, oracle, ell):
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    post = postorder(dec)
     unions = subtree_bag_unions(dec)
     deleted = set()
     hitting = []
     found = []
-    while True:
-        hit = None
-        for x in post:
-            region = frozenset(unions[x] - deleted)
-            if not region:
-                continue
-            target = oracle(region)
-            if target is not None:
-                _check_target(g, region, target)
-                hit = (x, target)
-                break
-        if hit is None:
-            hitting_set = tuple(sorted(hitting))
-            bound = (ell - 1) * (dec.width + 1)
-            if len(hitting_set) > bound:
-                raise InternalConsistencyError(
-                    f"hitting set of {len(hitting_set)} exceeds (ell-1)(w+1) = {bound}"
-                )
-            leftover = frozenset().union(*dec.bags) - set(hitting_set)
-            if leftover and oracle(leftover) is not None:
-                raise InternalConsistencyError(
-                    "target survives outside the hitting set"
-                )
-            return Dichotomy(hitting_set=hitting_set)
-        x, target = hit
+    for x in postorder(dec):
+        region = frozenset(unions[x] - deleted)
+        if not region:
+            continue
+        target = oracle(region)
+        if target is None:
+            continue
+        _check_target(g, region, target)
         found.append(target)
         if len(found) == ell:
             return Dichotomy(disjoint=found)
         hitting.extend(set(dec.bags[x]) - deleted)
         deleted |= unions[x]
+    hitting_set = tuple(sorted(hitting))
+    bound = (ell - 1) * (dec.width + 1)
+    if len(hitting_set) > bound:
+        raise InternalConsistencyError(
+            f"hitting set of {len(hitting_set)} exceeds (ell-1)(w+1) = {bound}"
+        )
+    leftover = frozenset().union(*dec.bags) - set(hitting_set)
+    if leftover and oracle(leftover) is not None:
+        raise InternalConsistencyError("target survives outside the hitting set")
+    return Dichotomy(hitting_set=hitting_set)

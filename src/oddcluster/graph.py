@@ -10,18 +10,41 @@ reached set matters, ``bfs_tree`` when the visit order reaches the output
 
 from dataclasses import dataclass
 
+from .errors import ResourceLimitError
+
+# Size caps of a Graph.  A graph at both caps takes about 0.6 GB in this
+# representation, far beyond what min-fill and the exact searches finish on;
+# the caps turn a hostile size into exit 2 instead of memory exhaustion.
+MAX_VERTICES = 500_000
+MAX_EDGES = 1_000_000
+
+
+def check_graph_size(n, m=0):
+    """Raise ResourceLimitError when n vertices or m edges exceed the caps of ``Graph``."""
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise ResourceLimitError(f"{m} edges exceed the cap of {MAX_EDGES}")
+
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
+
+    The caps are checked before anything is allocated: ``n`` on entry, and
+    ``edges``, which may be lazy, as it is read.
+    """
 
     __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        check_graph_size(n)
         adj = [set() for _ in range(n)]
         es = set()
-        for u, v in edges:
+        for k, (u, v) in enumerate(edges):
+            if k == MAX_EDGES:
+                check_graph_size(n, k + 1)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:

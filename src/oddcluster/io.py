@@ -10,8 +10,8 @@ ParseError, so the verifiers only ever see well-typed values.
 import json
 
 from .errors import ParseError
-from .graph import Graph, RootedTree, bfs_tree
-from .decomposition import TreeDecomposition
+from .graph import Graph, bfs_tree, check_graph_size
+from .decomposition import preorder_decomposition
 from .oddmodel import Model, Witness
 from .colouring import OddModelCertificate
 from .treedepth import u_graph
@@ -35,6 +35,7 @@ def parse_graph(text):
                 raise ParseError(lineno, "header counts must be integers") from None
             if n < 0 or expected < 0:
                 raise ParseError(lineno, "header counts must be non-negative")
+            check_graph_size(n, expected)
             continue
         if len(parts) != 2:
             raise ParseError(lineno, f"expected edge '<u> <v>', got {line!r}")
@@ -164,18 +165,23 @@ def colouring_from_json(data, n):
 def decomposition_to_json(dec):
     return {
         "nodes": dec.num_nodes,
-        "edges": [list(e) for e in dec.tree.edges()],
+        "edges": sorted([p, x] for x, p in enumerate(dec.parent) if p >= 0),
         "bags": [list(b) for b in dec.bags],
         "width": dec.width,
     }
 
 
 def decomposition_from_json(data):
-    """The decomposition rooted at node 0; its edges must form a tree on its nodes."""
+    """The decomposition rooted at node 0, renumbered in pre-order with children by node id.
+
+    Its edges must form a tree on its nodes, and it must hold one bag per node.
+    """
     nodes, edges, bags = data.get("nodes"), data.get("edges"), data.get("bags")
     _require(type(nodes) is int and nodes >= 1, "'nodes' must be a positive integer")
     _require(type(data.get("width", 0)) is int, "'width' must be an integer")
-    _require(_int_lists(bags, None), "'bags' must be a list of vertex lists")
+    _require(
+        _int_lists(bags, None) and len(bags) == nodes, f"'bags' must hold {nodes} vertex lists"
+    )
     _require(
         _int_lists(edges, 2)
         and len(edges) == nodes - 1
@@ -188,4 +194,5 @@ def decomposition_from_json(data):
         adj[b].add(a)
     parent = bfs_tree(adj, 0)  # n - 1 edges that reach all n nodes form a tree
     _require(len(parent) == nodes - 1, "'edges' do not form a tree")
-    return TreeDecomposition(RootedTree(parent=parent, roots=(0,)), [tuple(b) for b in bags])
+    children = [sorted(adj[x] - {parent.get(x)}) for x in range(nodes)]
+    return preorder_decomposition(children, [0], bags)

@@ -119,4 +119,4 @@ def all_two_colourings_proper(g):
 def renumbered(dec, index_map):
     """``dec`` with host ids renumbered by an ``induced_subgraph`` index map (new -> old)."""
     pos = {v: i for i, v in enumerate(index_map)}
-    return TreeDecomposition(dec.tree, [[pos[v] for v in bag] for bag in dec.bags])
+    return TreeDecomposition(dec.parent, [[pos[v] for v in bag] for bag in dec.bags])

@@ -359,7 +359,7 @@ class TestHostIdDecomposition:
             h, d = rng.choice(((2, 1), (2, 2), (3, 1), (3, 2)))
             sub, m = induced_subgraph(g, xs)
             sub_dec = decompose(sub)
-            dec = TreeDecomposition(sub_dec.tree, [[m[v] for v in bag] for bag in sub_dec.bags])
+            dec = TreeDecomposition(sub_dec.parent, [[m[v] for v in bag] for bag in sub_dec.bags])
             want = colour_bounded_tw(sub, h, d, sub_dec)
             got = colour_bounded_tw(g, h, d, dec)
             assert type(got) is type(want)

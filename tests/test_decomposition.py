@@ -34,29 +34,26 @@ class TestValidate:
 
     def test_path_two_bags(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        dec = TreeDecomposition(RootedTree(parent={1: 0}, roots=(0,)), [(0, 1), (1, 2)])
+        dec = TreeDecomposition((-1, 0), [(0, 1), (1, 2)])
         ok, _ = validate_decomposition(g, dec)
         assert ok and dec.width == 1
 
     def test_uncovered_edge(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        dec = TreeDecomposition(RootedTree(parent={1: 0}, roots=(0,)), [(0, 1), (2,)])
+        dec = TreeDecomposition((-1, 0), [(0, 1), (2,)])
         ok, why = validate_decomposition(g, dec)
         assert not ok and "1,2" in why.replace(" ", "").replace("(", "").replace(")", "")
 
     def test_disconnected_trace(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        dec = TreeDecomposition(
-            RootedTree(parent={1: 0, 2: 1}, roots=(0,)),
-            [(0, 1), (1, 2), (0,)],
-        )
+        dec = TreeDecomposition((-1, 0, 1), [(0, 1), (1, 2), (0,)])
         ok, why = validate_decomposition(g, dec)
         assert not ok and "vertex 0" in why
 
 
     def test_repeated_vertex_in_a_bag(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        dec = TreeDecomposition(RootedTree(parent={1: 0}, roots=(0,)), [(0, 1, 1), (1, 2)])
+        dec = TreeDecomposition((-1, 0), [(0, 1, 1), (1, 2)])
         assert validate_decomposition(g, dec) == reference_validate(g, dec) == (True, None)
 
 
@@ -104,10 +101,9 @@ class TestExactTreewidth:
 
     def test_normalized_rooting(self):
         _, dec = exact_treewidth(cycle_graph(6))
-        assert dec.tree.roots == (0,)
-        children = dec.tree.children()
-        for x, kids in children.items():
-            mins = [min(dec.bags[y]) for y in kids if dec.bags[y]]
+        assert [x for x, p in enumerate(dec.parent) if p < 0] == [0]
+        for x in range(dec.num_nodes):
+            mins = [min(dec.bags[y]) for y, p in enumerate(dec.parent) if p == x]
             assert mins == sorted(mins)
 
 
@@ -163,7 +159,7 @@ class TestRestrictAndTraversal:
         _, dec = exact_treewidth(cycle_graph(6))
         seen = set()
         for x in postorder(dec):
-            for c, p in dec.tree.parent.items():
+            for c, p in enumerate(dec.parent):
                 if p == x:
                     assert c in seen
             seen.add(x)
@@ -172,12 +168,12 @@ class TestRestrictAndTraversal:
     def test_subtree_bag_unions(self):
         _, dec = exact_treewidth(cycle_graph(6))
         unions = subtree_bag_unions(dec)
-        assert unions[dec.tree.roots[0]] == set(range(6))
-        children = dec.tree.children()
+        assert unions[0] == set(range(6))
         for x in range(dec.num_nodes):
             expect = set(dec.bags[x])
-            for c in children[x]:
-                expect |= unions[c]
+            for c, p in enumerate(dec.parent):
+                if p == x:
+                    expect |= unions[c]
             assert unions[x] == expect
 
     def test_restrict_min_fill_decompositions(self):
@@ -221,8 +217,7 @@ class TestRestrictAndTraversal:
             once = restrict_decomposition(dec, outer)
             twice = restrict_decomposition(once, inner)
             direct = restrict_decomposition(dec, inner)
-            assert twice.tree.parent == direct.tree.parent
-            assert twice.tree.roots == direct.tree.roots
+            assert twice.parent == direct.parent
             assert twice.bags == direct.bags
             assert postorder(twice) == postorder(direct)
             sub, m = induced_subgraph(g, inner)
@@ -231,10 +226,7 @@ class TestRestrictAndTraversal:
 
     def test_postorder_long_path_at_default_recursion_limit(self):
         n = 5000
-        dec = TreeDecomposition(
-            RootedTree(parent={i: i - 1 for i in range(1, n)}, roots=(0,)),
-            [(i,) for i in range(n)],
-        )
+        dec = TreeDecomposition(range(-1, n - 1), [(i,) for i in range(n)])
         assert postorder(dec) == list(range(n - 1, -1, -1))
         assert len(subtree_bag_unions(dec)[0]) == n
 
@@ -266,8 +258,6 @@ def reference_min_fill_order(g):
 def reference_validate(g, dec):
     """Validation as first written: one scan over every node per edge and per vertex."""
     nodes = set(range(dec.num_nodes))
-    if dec.tree.vertices() != nodes:
-        return False, "decomposition tree nodes do not match bag indices"
     for b in dec.bags:
         for v in b:
             if not 0 <= v < g.n:
@@ -276,9 +266,10 @@ def reference_validate(g, dec):
         if not any(a in bag and b in bag for bag in dec.bags):
             return False, f"edge ({a},{b}) not covered by any bag"
     tree_adj = {x: set() for x in nodes}
-    for x, y in dec.tree.edges():
-        tree_adj[x].add(y)
-        tree_adj[y].add(x)
+    for x, y in enumerate(dec.parent):
+        if y >= 0:
+            tree_adj[x].add(y)
+            tree_adj[y].add(x)
     for v in range(g.n):
         trace = {x for x in nodes if v in dec.bags[x]}
         if not trace:
@@ -392,5 +383,258 @@ class TestAgainstReferences:
                     bags[x].remove(rng.choice(bags[x]))
                 else:
                     bags[x].append(rng.randrange(g.n + 1))
-            mutated = TreeDecomposition(dec.tree, [sorted(set(b)) for b in bags])
+            mutated = TreeDecomposition(dec.parent, [sorted(set(b)) for b in bags])
             assert validate_decomposition(g, mutated) == reference_validate(g, mutated)
+
+
+# The trace-index representation as first written: a RootedTree over BFS
+# node ids, restriction through pre-order entry/exit times, and post-order
+# from the tree's children() lists.  The parent-array code must reproduce it.
+
+
+def reference_from_order(g, order):
+    """decomposition_from_order as first written: a (RootedTree, bags) pair in BFS node ids."""
+    from oddcluster.decomposition import _eliminate
+
+    if g.n == 0:
+        return RootedTree(parent={}, roots=(0,)), [()]
+    adj = [set(s) for s in g.adj]
+    bags = []
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        bags.append(adj[v] | {v})
+        _eliminate(adj, v)
+    parent = {}
+    for i, v in enumerate(order[:-1]):
+        later = [u for u in bags[i] if u != v]
+        parent[i] = pos[min(later, key=lambda u: pos[u])] if later else i + 1
+    return reference_normalize(RootedTree(parent=parent, roots=(len(order) - 1,)), bags)
+
+
+def reference_normalize(tree, bags):
+    """Re-root at node 0 by a BFS renumbering, children by minimum bag element."""
+    children = tree.children()
+    root = tree.roots[0]
+    new_id = {root: 0}
+    order = [root]
+    for x in order:
+        for y in sorted(children[x], key=lambda y: (min(bags[y]) if bags[y] else -1, y)):
+            new_id[y] = len(new_id)
+            order.append(y)
+    parent = {new_id[c]: new_id[p] for c, p in tree.parent.items()}
+    return RootedTree(parent=parent, roots=(0,)), [tuple(sorted(bags[x])) for x in order]
+
+
+def reference_restrict(tree, bags, xs):
+    """Restriction through a trace index: pre-order entry/exit times, parents, vertex -> nodes."""
+    children = tree.children()
+    n = len(bags)
+    order = []
+    stack = list(reversed(tree.roots))
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        stack.extend(reversed(children[x]))
+    up = [-1] * n
+    for c, p in tree.parent.items():
+        up[c] = p
+    tin, size = [0] * n, [1] * n
+    for i, x in enumerate(order):
+        tin[x] = i
+    for x in reversed(order):
+        if up[x] >= 0:
+            size[up[x]] += size[x]
+    tout = [tin[x] + size[x] for x in range(n)]
+    trace = {}
+    for x in order:
+        for v in bags[x]:
+            nodes = trace.setdefault(v, [])
+            if not nodes or nodes[-1] != x:
+                nodes.append(x)
+    xs = frozenset(xs)
+    if trace.keys() <= xs:
+        return tree, bags
+    hits = sorted({x for v in xs for x in trace.get(v, ())}, key=tin.__getitem__)
+    if not hits:
+        return RootedTree(parent={}, roots=(0,)), [()]
+    keep = set(hits)
+    for a, b in zip(hits, hits[1:]):
+        x = a
+        while x >= 0 and not tin[x] <= tin[b] < tout[x]:
+            x = up[x]
+        if x >= 0:
+            keep.add(x)
+    nodes = sorted(keep, key=tin.__getitem__)
+    new_id = {x: i for i, x in enumerate(nodes)}
+    parent, roots, ancestors = {}, [], []
+    for x in nodes:
+        while ancestors and tout[ancestors[-1]] <= tin[x]:
+            ancestors.pop()
+        if ancestors:
+            parent[new_id[x]] = new_id[ancestors[-1]]
+        else:
+            roots.append(new_id[x])
+        ancestors.append(x)
+    return RootedTree(parent=parent, roots=roots), [tuple(v for v in bags[x] if v in xs) for x in nodes]
+
+
+def reference_postorder(tree):
+    """Post-order from the children() lists, roots and children in index order."""
+    children = tree.children()
+    out = []
+    stack = list(tree.roots)
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        stack.extend(children[x])
+    out.reverse()
+    return out
+
+
+def parent_array(tree, n):
+    return tuple(tree.parent.get(x, -1) for x in range(n))
+
+
+def walk(dec):
+    """Bags and subtree unions in post-order: all the dichotomy reads of a decomposition."""
+    unions = subtree_bag_unions(dec)
+    return [(dec.bags[x], unions[x]) for x in postorder(dec)]
+
+
+def reference_walk(tree, bags):
+    unions = [set(b) for b in bags]
+    post = reference_postorder(tree)
+    for x in post:
+        if x in tree.parent:
+            unions[tree.parent[x]] |= unions[x]
+    return [(tuple(bags[x]), unions[x]) for x in post]
+
+
+def assert_same_restrictions(dec, tree, bags, domains):
+    """Restrictions agree node for node; a restriction of one agrees with the other's too."""
+    assert walk(dec) == reference_walk(tree, bags)
+    for xs in domains:
+        got = restrict_decomposition(dec, xs)
+        rtree, rbags = reference_restrict(tree, bags, xs)
+        assert walk(got) == reference_walk(rtree, rbags)
+        if got is dec:
+            assert (rtree, rbags) == (tree, bags)
+            continue
+        assert got.parent == parent_array(rtree, len(rbags))
+        assert got.bags == tuple(rbags)
+        inner = sorted(xs)[::2]
+        again = restrict_decomposition(got, inner)
+        rtree2, rbags2 = reference_restrict(rtree, rbags, inner)
+        assert walk(again) == reference_walk(rtree2, rbags2)
+        if again is not got:
+            assert again.parent == parent_array(rtree2, len(rbags2))
+            assert again.bags == tuple(rbags2)
+
+
+def random_domains(rng, g, count):
+    """Random vertex sets plus the BFS layers from vertex 0, the sets the colour recursion restricts to."""
+    from oddcluster.graph import bfs_layers
+
+    domains = [range(g.n)]
+    if g.n:
+        domains.extend(bfs_layers(g, 0).layers)
+        domains.extend(rng.sample(range(g.n), rng.randint(1, g.n)) for _ in range(count))
+    return domains
+
+
+class TestPreorderAgainstTraceIndex:
+    """Parent arrays in pre-order give the trace-index representation's restrictions and walks."""
+
+    def fixtures(self):
+        from oddcluster.generators import random_partial_ktree, star_graph
+        from oddcluster.treedepth import u_graph
+
+        rng = random.Random(67)
+        graphs = [Graph(0), Graph(4), cycle_graph(6), cycle_graph(31), complete_graph(5)]
+        graphs += [star_graph(9), u_graph(3, 2), random_tree(25, 3)]
+        for trial in range(40):
+            graphs.append(random_small_graph(rng, 10))
+            graphs.append(random_partial_ktree(rng.randint(2, 60), rng.randint(1, 4), trial))
+            # a forest: disjoint random trees, joined in the decomposition by the next-bag rule
+            sizes = [rng.randint(1, 8) for _ in range(rng.randint(2, 5))]
+            edges, base = [], 0
+            for size in sizes:
+                edges += [(base + rng.randrange(v), base + v) for v in range(1, size)]
+                base += size
+            graphs.append(Graph(base, edges))
+        return rng, graphs
+
+    def test_min_fill_and_exact_decompositions(self):
+        from oddcluster.decomposition import _find_order_within, _min_fill_order
+
+        rng, graphs = self.fixtures()
+        for g in graphs:
+            orders = [_min_fill_order(g)]
+            if 0 < g.n <= 12:
+                width = exact_treewidth(g)[0]
+                orders.append(_find_order_within(g, width) or orders[0])
+            for order in orders:
+                dec = decomposition_from_order(g, order)
+                tree, bags = reference_from_order(g, order)
+                assert sorted(dec.bags) == sorted(bags)
+                assert validate_decomposition(g, dec) == (True, None)
+                assert_same_restrictions(dec, tree, bags, random_domains(rng, g, 6))
+
+    def test_forest_shaped_decompositions(self):
+        from oddcluster.decomposition import preorder_decomposition
+
+        rng = random.Random(71)
+        for trial in range(200):
+            n = rng.randint(1, 30)
+            ids = list(range(n))
+            rng.shuffle(ids)  # node ids in no tree order
+            roots = sorted(ids[: rng.randint(1, 3)])
+            parent = {ids[i]: ids[rng.randrange(i)] for i in range(len(roots), n)}
+            tree = RootedTree(parent=parent, roots=roots)
+            bags = [tuple(sorted(rng.sample(range(12), rng.randint(0, 4)))) for _ in range(n)]
+            dec = preorder_decomposition(tree.children(), roots, bags)
+            domains = [rng.sample(range(12), rng.randint(0, 12)) for _ in range(6)]
+            assert_same_restrictions(dec, tree, bags, domains)
+
+    @pytest.mark.parametrize(
+        "parent",
+        [(0,), (-1, 1), (-1, 2, 0), (-1, 0, 0, 1), (-1, 0, 1, 1, 0, 2), (-1, -2), (-1, 0, 5)],
+    )
+    def test_constructor_rejects_a_parent_array_out_of_pre_order(self, parent):
+        with pytest.raises(ValueError, match="pre-order"):
+            TreeDecomposition(parent, [()] * len(parent))
+
+    def test_constructor_accepts_exactly_the_pre_orders(self):
+        from oddcluster.decomposition import preorder_decomposition
+
+        with pytest.raises(ValueError):
+            TreeDecomposition((-1, 0), [(0,)])
+        rng = random.Random(73)
+        accepted = 0
+        for _ in range(500):
+            n = rng.randint(1, 9)
+            parent = [-1] + [rng.randrange(-1, x) for x in range(1, n)]
+            roots = [x for x in range(n) if parent[x] < 0]
+            tree = RootedTree({x: p for x, p in enumerate(parent) if p >= 0}, roots)
+            # in pre-order iff renumbering in pre-order, children by id, changes no id
+            ids = preorder_decomposition(tree.children(), tree.roots, [(x,) for x in range(n)]).bags
+            in_preorder = ids == tuple((x,) for x in range(n))
+            try:
+                dec = TreeDecomposition(parent, [()] * n)
+            except ValueError:
+                assert not in_preorder, parent
+                continue
+            assert in_preorder, parent
+            accepted += 1
+            for x in range(n):
+                assert dec.end[x] == x + 1 + sum(1 for y in range(x + 1, n) if is_below(parent, y, x))
+        assert 50 < accepted < 500
+
+
+def is_below(parent, y, x):
+    """True iff node x is a strict ancestor of node y."""
+    while parent[y] >= 0:
+        y = parent[y]
+        if y == x:
+            return True
+    return False

@@ -4,14 +4,13 @@ import pytest
 
 from oddcluster import (
     Graph,
-    RootedTree,
     TreeDecomposition,
     disjoint_or_hitting,
     exact_treewidth,
     validate_decomposition,
 )
 from oddcluster.decomposition import postorder, subtree_bag_unions, trivial_decomposition
-from oddcluster.eposa import Target
+from oddcluster.eposa import Dichotomy, Target
 from oddcluster.errors import InternalConsistencyError
 from oddcluster.generators import complete_graph
 from conftest import max_disjoint_triangles, random_small_graph, renumbered, triangles_of
@@ -104,7 +103,7 @@ class TestDichotomy:
 
 def full_tree_restriction(dec, xs):
     """Restriction as first written: every node kept, bags cut to ``xs``."""
-    return TreeDecomposition(dec.tree, [[v for v in bag if v in xs] for bag in dec.bags])
+    return TreeDecomposition(dec.parent, [[v for v in bag if v in xs] for bag in dec.bags])
 
 
 def edge_oracle(g):
@@ -148,7 +147,7 @@ class TestHittingSetBound:
     def test_bag_covering_the_vertices_in_play(self):
         # dec decomposes G[{3, 4, 5}] in host ids; vertices 0..2 are not in play
         g = two_triangles()
-        dec = TreeDecomposition(RootedTree(parent={}, roots=(0,)), [(3, 4, 5)])
+        dec = TreeDecomposition((-1,), [(3, 4, 5)])
         out = disjoint_or_hitting(g, dec, triangle_oracle(g), 2)
         assert out.hitting_set == (3, 4, 5)
 
@@ -166,7 +165,7 @@ class TestForestDecomposition:
 
     def two_roots(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        dec = TreeDecomposition(RootedTree(parent={}, roots=(0, 1)), [(0, 1), (2, 3)])
+        dec = TreeDecomposition((-1, -1), [(0, 1), (2, 3)])
         assert validate_decomposition(g, dec) == (True, None)
         return g, dec
 
@@ -184,7 +183,60 @@ class TestForestDecomposition:
             assert out.hitting_set == (2, 3)
 
     def test_postorder_visits_roots_in_index_order(self):
-        tree = RootedTree(parent={2: 0, 3: 0, 4: 1, 5: 4}, roots=(1, 0))
-        dec = TreeDecomposition(tree, [(0,), (1,), (2,), (3,), (4,), (5,)])
-        assert postorder(dec) == [2, 3, 0, 5, 4, 1]
-        assert subtree_bag_unions(dec) == [{0, 2, 3}, {1, 4, 5}, {2}, {3}, {4, 5}, {5}]
+        # roots 0 (children 1, 2) and 3 (child 4, grandchild 5)
+        dec = TreeDecomposition((-1, 0, 0, -1, 3, 4), [(0,), (2,), (3,), (1,), (4,), (5,)])
+        assert postorder(dec) == [1, 2, 0, 5, 4, 3]
+        assert subtree_bag_unions(dec) == [{0, 2, 3}, {2}, {3}, {1, 4, 5}, {4, 5}, {5}]
+
+
+def reference_disjoint_or_hitting(dec, oracle, ell):
+    """The dichotomy as first written: after each hit the scan starts over from the first node."""
+    post = postorder(dec)
+    unions = subtree_bag_unions(dec)
+    deleted, hitting, found = set(), [], []
+    while True:
+        hit = None
+        for x in post:
+            region = frozenset(unions[x] - deleted)
+            if region:
+                target = oracle(region)
+                if target is not None:
+                    hit = (x, target)
+                    break
+        if hit is None:
+            return Dichotomy(hitting_set=tuple(sorted(hitting)))
+        x, target = hit
+        found.append(target)
+        if len(found) == ell:
+            return Dichotomy(disjoint=found)
+        hitting.extend(set(dec.bags[x]) - deleted)
+        deleted |= unions[x]
+
+
+class TestSinglePass:
+    """One post-order scan gives the restarting scan's result, asking each node at most once."""
+
+    def test_same_result_as_restarting_scan(self):
+        from oddcluster import heuristic_decomposition
+        from oddcluster.generators import random_partial_ktree
+
+        rng = random.Random(79)
+        restarts_saved = 0
+        for trial in range(80):
+            g = random_partial_ktree(rng.randint(4, 40), rng.randint(1, 3), trial, edge_keep=0.9)
+            dec = exact_treewidth(g)[1] if g.n <= 12 else heuristic_decomposition(g)
+            for make_oracle in (triangle_oracle, edge_oracle):
+                for ell in (1, 2, 3, 5):
+                    asked, ref_asked = [], []
+
+                    def counted(log, oracle=make_oracle(g)):
+                        return lambda region: log.append(region) or oracle(region)
+
+                    got = disjoint_or_hitting(g, dec, counted(asked), ell)
+                    want = reference_disjoint_or_hitting(dec, counted(ref_asked), ell)
+                    assert got == want
+                    # one query per node at most, plus the final leftover check
+                    walk = asked[:-1] if got.hitting_set is not None else asked
+                    assert len(walk) <= min(dec.num_nodes, len(ref_asked))
+                    restarts_saved += len(ref_asked) - len(walk)
+        assert restarts_saved > 0

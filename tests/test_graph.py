@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -13,6 +14,8 @@ from oddcluster import (
     layered_spanning_tree,
 )
 from oddcluster.colouring import monochromatic_components
+from oddcluster import graph as graph_module
+from oddcluster.errors import ResourceLimitError
 from oddcluster.graph import _conflict_cycle, bfs_tree, reach
 from conftest import all_two_colourings_proper, check_layered_tree, random_small_graph
 
@@ -42,6 +45,59 @@ class TestGraph:
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         for a, b in g.edges:
             assert b in g.adj[a] and a in g.adj[b]
+
+
+class TestSizeCaps:
+    """Sizes over the caps raise ResourceLimitError before a graph is built."""
+
+    @pytest.fixture
+    def ten_edges(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "MAX_EDGES", 10)
+
+    def test_vertex_cap(self):
+        for n in (graph_module.MAX_VERTICES + 1, 10**18):
+            with pytest.raises(ResourceLimitError, match="vertices"):
+                Graph(n)
+
+    def test_lazy_edges_are_read_up_to_the_cap(self, ten_edges):
+        pulled = []
+
+        def edges():
+            for i in range(1, 1000):
+                pulled.append(i)
+                yield 0, i
+
+        with pytest.raises(ResourceLimitError, match="edges"):
+            Graph(1000, edges())
+        assert len(pulled) == 11
+        assert Graph(20, [(0, i) for i in range(1, 11)]).m == 10
+
+    def test_generators_and_the_parser(self, ten_edges):
+        from oddcluster.generators import complete_graph, cycle_graph, random_partial_ktree, star_graph
+        from oddcluster.io import parse_graph
+
+        assert star_graph(11).m == cycle_graph(10).m == complete_graph(5).m == 10
+        for make in (
+            lambda: star_graph(12),
+            lambda: cycle_graph(11),
+            lambda: random_partial_ktree(12, 1, 0, edge_keep=0.1),
+            lambda: parse_graph("p 30 11\n"),
+            lambda: parse_graph(f"p {graph_module.MAX_VERTICES + 1} 0\n"),
+        ):
+            with pytest.raises(ResourceLimitError):
+                make()
+
+    def test_complete_graph_is_refused_before_allocation(self, ten_edges):
+        from oddcluster.generators import complete_graph
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="edges"):
+                complete_graph(100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # 100 000 adjacency sets would take about 20 MB
 
 
 class TestBfsLayers:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -273,6 +275,8 @@ class TestMalformedInputs:
             {"nodes": 2, "edges": [[0, "1"]], "bags": [[0, 1], [1, 2]]},
             {"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], [1, 2]], "width": "1"},
             {"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], 2]},
+            {"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], [1, 2], [2]]},
+            {"nodes": 3, "edges": [[0, 1], [1, 2]], "bags": [[0, 1], [1, 2]]},
         ],
     )
     def test_decomposition_edges_must_form_a_tree(self, capsys, write, dec):
@@ -382,6 +386,24 @@ class TestMalformedInputs:
             assert proc.returncode == 2, argv
             assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr, argv
 
+    def test_sizes_over_the_caps_in_a_subprocess(self, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("p 300000000 0\n")
+        for argv in (
+            ["colour", str(big), "--h", "2", "--d", "2"],
+            ["gen", "star", "--n", "9" * 4000],
+            ["gen", "complete", "--n", "100000"],
+        ):
+            start = time.monotonic()
+            proc = subprocess.run(
+                [sys.executable, "-m", "oddcluster.cli", *argv], capture_output=True, text=True, timeout=60
+            )
+            assert time.monotonic() - start < 10, argv[:2]
+            assert proc.returncode == 2, argv[:2]
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and "resource limit:" in lines[0], argv[:2]
+            assert "Traceback" not in proc.stderr and not proc.stdout, argv[:2]
+
     def test_cap_is_set_by_the_option_alone(self, capsys, monkeypatch, write):
         monkeypatch.setenv("ODDCLUSTER_CAP", "abc")
         gp = write("g.txt", serialize_graph(cycle_graph(5)))
@@ -395,3 +417,65 @@ class TestMalformedInputs:
         code, out = run_cli(capsys, ["odd-minor", gp, hp])
         assert code == 0
         assert list(json.loads(out)) == ["found", "branch_sets", "tree_edges", "witness"]
+
+
+def bfs_numbered_json(dec):
+    """``dec`` as JSON with its nodes renumbered breadth-first, children in id order."""
+    order = [0]
+    for x in order:  # grows while read
+        order.extend(y for y, p in enumerate(dec.parent) if p == x)
+    new = {x: i for i, x in enumerate(order)}
+    edges = sorted(sorted([new[p], new[x]]) for x, p in enumerate(dec.parent) if p >= 0)
+    return {"nodes": dec.num_nodes, "edges": edges, "bags": [list(dec.bags[x]) for x in order]}
+
+
+class TestDecompositionNumbering:
+    """Nodes are numbered in pre-order; a decomposition JSON in another numbering colours the same."""
+
+    # `gen partial-ktree --n 12 --k 2 --seed 7`: the metric tw witness's edges as
+    # numbered breadth-first before, and in pre-order now
+    BFS_EDGES = [[0, 1], [1, 2], [2, 3], [3, 4], [3, 5], [3, 6], [5, 7], [5, 8], [5, 9], [6, 10], [9, 11]]
+    PRE_EDGES = [[0, 1], [1, 2], [2, 3], [3, 4], [3, 5], [3, 10], [5, 6], [5, 7], [5, 8], [8, 9], [10, 11]]
+    # sha256 of `colour` on that graph per (h, d), recorded with the breadth-first numbering
+    RECORDED = {
+        (2, 1): "16056b62bacc0b2b6ad2070c8c8f2c82ad59310bd075f14afec751af65f152f3",
+        (2, 2): "2cefd69324ecc45b355477fcd0e910a8d2e33738546688065a08e345a9fc7372",
+        (3, 2): "dbfad975bfcd863d2c1b33b390008c6a715fc3e73d30a0d09ad637604da5b751",
+        (3, 3): "f96d393dad133e6707698c72181773451c5096d2cec434b2ecb47efaa1d1aba3",
+    }
+
+    def graph_file(self, capsys, write):
+        code, text = run_cli(capsys, ["gen", "partial-ktree", "--n", "12", "--k", "2", "--seed", "7"])
+        assert code == 0
+        return parse_graph(text), write("g.txt", text)
+
+    def test_metric_tw_witness_is_in_pre_order(self, capsys, write):
+        g, gp = self.graph_file(capsys, write)
+        code, out = run_cli(capsys, ["metric", "tw", gp])
+        witness = json.loads(out)["witness"]
+        assert code == 0 and json.loads(out)["value"] == witness["width"] == 2
+        assert witness["edges"] == self.PRE_EDGES
+        dec = decomposition_from_json(witness)
+        assert [list(b) for b in dec.bags] == witness["bags"]  # read back unchanged
+        assert bfs_numbered_json(dec)["edges"] == self.BFS_EDGES
+        code, out = run_cli(capsys, ["verify", "decomposition", gp, write("w.json", json.dumps(witness))])
+        assert code == 0 and json.loads(out)["ok"]
+
+    def test_bfs_numbered_json_colours_byte_identically(self, capsys, write):
+        g, gp = self.graph_file(capsys, write)
+        dec = exact_treewidth(g)[1]
+        bfs = bfs_numbered_json(dec)
+        assert bfs["edges"] == self.BFS_EDGES
+        files = [
+            write("bfs.json", json.dumps(bfs)),
+            write("pre.json", json.dumps(decomposition_to_json(dec))),
+        ]
+        arms = set()
+        for (h, d), digest in self.RECORDED.items():
+            argv = ["colour", gp, "--h", str(h), "--d", str(d)]
+            code, out = run_cli(capsys, argv)
+            arms.add(code)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (h, d)
+            for path in files:
+                assert run_cli(capsys, [*argv, "--decomposition", path]) == (code, out), (h, d, path)
+        assert arms == {0, 3}
