@@ -207,7 +207,7 @@ def build_parser():
     parser.add_argument(
         "--cap",
         type=_int_in(1),
-        help="the odd-model region cap (odd-minor, colour, pipeline), "
+        help="the odd-model region cap (odd-minor; per layer component in colour, pipeline), "
         "the exact-treewidth cap (metric tw) or the tree-depth cap (metric td/ctd)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -281,16 +281,7 @@ def _colour_component(g, h, d, dec, cap, comp, prefix):
         dec_i = restrict_decomposition(dec, region)
         if pattern is None:
             pattern = u_graph(h - 1, d)
-        memo = {}
-
-        def oracle(reg):  # used only by the dichotomy call just below
-            key = frozenset(reg)
-            if key not in memo:
-                found = find_odd_model(g, pattern, sorted(key), require_nontrivial=True, cap=cap)
-                memo[key] = found and Target(tuple(found[0].covered_vertices()), found)
-            return memo[key]
-
-        dich = disjoint_or_hitting(g, dec_i, oracle, d)
+        dich = disjoint_or_hitting(g, dec_i, _component_oracle(g, pattern, cap), d)
         if dich.is_disjoint_arm:
             submodels = [t.payload for t in dich.disjoint]
             tree = layered_spanning_tree(g, layering, i, u_i)
@@ -313,6 +304,45 @@ def _colour_component(g, h, d, dec, cap, comp, prefix):
             raw[v] = offset + col
         scope.update(sub_scope)
     return raw, scope
+
+
+def _component_oracle(g, pattern, cap):
+    """The layer oracle: a memoised non-trivial odd pattern-model search, component-wise.
+
+    ``oracle(region)`` returns, as a Target, the model that
+    ``find_odd_model(g, pattern, region, require_nontrivial=True)`` returns,
+    or None, but searches each component of G[region] on its own, with
+    ``cap`` applied per component.  The pattern U is connected, so a model
+    lies in one component, and components with fewer than 2|V(U)| vertices
+    cannot hold a non-trivial one.  Regions and components share one memo,
+    keyed by their vertex sets.  Pattern vertex 0, the root of U, is placed
+    first and every other pattern vertex is adjacent to it; so the
+    whole-region search returns, among the components' models, the one
+    whose root branch set has the least minimum vertex.
+    """
+    memo = {}
+
+    def oracle(region):
+        region = frozenset(region)
+        if region not in memo:
+            targets = []
+            seen = set()
+            for v in sorted(region):
+                if v in seen:
+                    continue
+                comp = frozenset(reach(g.adj, v, region))
+                seen |= comp
+                if len(comp) < 2 * pattern.n:
+                    continue
+                if comp not in memo:
+                    found = find_odd_model(g, pattern, sorted(comp), require_nontrivial=True, cap=cap)
+                    memo[comp] = found and Target(tuple(found[0].covered_vertices()), found)
+                if memo[comp] is not None:
+                    targets.append(memo[comp])
+            memo[region] = min(targets, key=lambda t: t.payload[0].branch_sets[0][0], default=None)
+        return memo[region]
+
+    return oracle
 
 
 def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):

@@ -10,6 +10,12 @@ The search collapses "choose a spanning tree plus a proper colouring of it"
 into "choose a vertex 2-colouring whose bichromatic edges span the branch
 set" (see ``parity_realizable``); the two formulations admit exactly the
 same colourings, and the latter is cheap to enumerate.
+
+Branch sets are placed one pattern vertex at a time, in decreasing pattern
+degree.  Each candidate set is generated once and passes one feasibility
+test, whether the rest of the region still has room for the later branch
+sets; that test is monotone, so a candidate that fails it ends its whole
+superset subtree.
 """
 
 from dataclasses import dataclass
@@ -60,6 +66,11 @@ def joining_edges(g, set_a, set_b):
     return out
 
 
+def _joined(g, set_a, set_b):
+    """True iff some host edge has one endpoint in each set."""
+    return any(not g.adj[v].isdisjoint(set_b) for v in set_a)
+
+
 def verify_model(g, model):
     """Check the model invariants; returns (ok, first violation)."""
     h = model.pattern
@@ -80,7 +91,7 @@ def verify_model(g, model):
         if not _is_spanning_tree(model.branch_trees.get(x, ()), model.branch_sets[x], g):
             return False, f"branch tree of pattern vertex {x} is not a spanning tree"
     for x, y in h.edges:
-        if not joining_edges(g, model.branch_sets[x], model.branch_sets[y]):
+        if not _joined(g, model.branch_sets[x], model.branch_sets[y]):
             return False, f"pattern edge ({x},{y}) has no realizing edge"
     return True, None
 
@@ -129,25 +140,29 @@ def _bichromatic_bfs_tree(g, branch_set, colour):
     return tuple(sorted((min(v, p), max(v, p)) for v, p in tree.items()))
 
 
-def _connected_subsets(adj, available, min_vertex, prune):
-    """All connected subsets of ``available`` whose minimum element is ``min_vertex``.
+def _connected_subsets(adj, available, min_size, fits):
+    """Connected subsets of ``available`` with at least ``min_size`` vertices that fit.
 
-    Standard once-only enumeration: grow the set through its frontier,
-    banning each frontier vertex for later branches at the same level.
-    ``prune(current)`` may return True to cut the whole superset subtree
-    (the condition must be monotone in the grown set).
+    Standard once-only enumeration, by minimum vertex, then by growing the
+    set through its frontier and banning each frontier vertex for later
+    branches at the same level.  ``fits(current)`` is called once on each
+    set of at least ``min_size`` vertices; it must be monotone (a set that
+    does not fit has no superset that fits), so a set that does not fit is
+    not yielded and ends its whole superset subtree.
     """
-    return _grow(adj, {min_vertex}, {v for v in available if v > min_vertex}, prune)
+    for mv in sorted(available):
+        yield from _grow(adj, {mv}, {v for v in available if v > mv}, min_size, fits)
 
 
-def _grow(adj, current, candidates, prune):
-    yield tuple(sorted(current))
-    if prune(current):
-        return
+def _grow(adj, current, candidates, min_size, fits):
+    if len(current) >= min_size:
+        if not fits(current):
+            return
+        yield tuple(sorted(current))
     frontier = sorted({u for v in current for u in adj[v] if u in candidates and u not in current})
     banned = set()
     for u in frontier:
-        yield from _grow(adj, current | {u}, candidates - banned, prune)
+        yield from _grow(adj, current | {u}, candidates - banned, min_size, fits)
         banned.add(u)
 
 
@@ -183,15 +198,9 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     adj = {v: g.adj[v] & region_set for v in region}
     min_size = 2 if require_nontrivial else 1
     order = sorted(range(pattern.n), key=lambda x: (-pattern.degree(x), x))
-    pattern_pos = {x: k for k, x in enumerate(order)}
 
     if pattern.n * min_size > len(region):
         return None
-
-    def feasible_rest(available, slots_left):
-        if require_nontrivial:
-            return _max_edge_packing_bound(g, available) >= slots_left
-        return len(available) >= slots_left
 
     def place(k, available, sets):
         if k == len(order):
@@ -199,28 +208,17 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
         x = order[k]
         slots_after = len(order) - k - 1
 
-        def prune(current):
-            if len(current) >= min_size:
-                # constraints only tighten as the set grows
-                return not feasible_rest(available - current, slots_after)
-            return False
+        def fits(current):
+            # room for the later branch sets; only tightens as the set grows
+            rest = available - current
+            if require_nontrivial:
+                return _max_edge_packing_bound(g, rest) >= slots_after
+            return len(rest) >= slots_after
 
-        for mv in sorted(available):
-            for cand in _connected_subsets(adj, available, mv, prune):
-                if len(cand) < min_size:
-                    continue
-                cand_set = set(cand)
-                ok = True
-                for y in pattern.adj[x]:
-                    if pattern_pos[y] < k and not joining_edges(g, sets[y], cand):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if not feasible_rest(available - cand_set, slots_after):
-                    continue
+        for cand in _connected_subsets(adj, available, min_size, fits):
+            if all(y not in sets or _joined(g, sets[y], cand) for y in pattern.adj[x]):
                 sets[x] = cand
-                found = place(k + 1, available - cand_set, sets)
+                found = place(k + 1, available.difference(cand), sets)
                 if found is not None:
                     return found
                 del sets[x]
@@ -232,64 +230,39 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
 
 
 def _witness_search(g, pattern, order, sets):
-    """Decide oddness of a fixed branch-set family; build Model+Witness if odd."""
+    """Decide oddness of a fixed branch-set family; build Model+Witness if odd.
+
+    Every branch set is connected, so each has a parity-realizable
+    colouring, and ``place`` has joined every pattern edge; the search only
+    decides whether the choices can make every pattern edge monochromatic.
+    """
     options = {}
     for x, bs in sets.items():
-        opts = []
-        for bits in range(1 << len(bs)):
-            col = {v: (bits >> i) & 1 for i, v in enumerate(bs)}
-            if parity_realizable(g, bs, col):
-                opts.append(col)
-        if not opts:
-            return None
-        options[x] = opts
-    joins = {}
-    for x, y in pattern.edges:
-        je = joining_edges(g, sets[x], sets[y])
-        if not je:
-            return None
-        joins[(x, y)] = je
-
-    chosen = {}
+        colourings = ({v: bits >> i & 1 for i, v in enumerate(bs)} for bits in range(1 << len(bs)))
+        options[x] = [col for col in colourings if parity_realizable(g, bs, col)]
+    # joining-edge lists from order[k]'s set to each earlier neighbour's set
+    joins = [
+        [joining_edges(g, sets[x], sets[y]) for y in order[:k] if y in pattern.adj[x]]
+        for k, x in enumerate(order)
+    ]
+    colour = {}  # the options chosen at levels 0..k, written over on backtracking
 
     def assign(k):
         if k == len(order):
             return True
-        x = order[k]
-        for col in options[x]:
-            chosen[x] = col
-            ok = True
-            for y in pattern.adj[x]:
-                if y not in chosen or y == x:
-                    continue
-                key = (x, y) if (x, y) in joins else (y, x)
-                mono = False
-                for a, b in joins[key]:
-                    ca = chosen[x].get(a, chosen[y].get(a))
-                    cb = chosen[x].get(b, chosen[y].get(b))
-                    if ca == cb:
-                        mono = True
-                        break
-                if not mono:
-                    ok = False
-                    break
-            if ok and assign(k + 1):
+        for col in options[order[k]]:
+            colour.update(col)
+            if all(any(colour[a] == colour[b] for a, b in je) for je in joins[k]) and assign(k + 1):
                 return True
-            del chosen[x]
         return False
 
     odd = assign(0)
     assign = None  # drop the closure's reference to itself: no cycle for the collector
     if not odd:
         return None
-    colour = {}
-    for x in sets:
-        colour.update(chosen[x])
     model = Model(
         pattern=pattern,
         branch_sets={x: tuple(bs) for x, bs in sets.items()},
-        branch_trees={
-            x: _bichromatic_bfs_tree(g, bs, chosen[x]) for x, bs in sets.items()
-        },
+        branch_trees={x: _bichromatic_bfs_tree(g, bs, colour) for x, bs in sets.items()},
     )
     return model, Witness(colour=colour)

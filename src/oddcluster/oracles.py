@@ -9,7 +9,6 @@ proper tree colourings directly from the definitions, so that it and
 from itertools import combinations, product
 
 from .errors import ResourceLimitError
-from .colouring import monochromatic_components
 
 ODD_MINOR_ORACLE_CAP = 8
 MIN_COLOURS_CAP = 10
@@ -23,11 +22,36 @@ def verify_colouring(g, colouring, max_colours, max_cluster):
     used = len(set(colouring.colour.values()))
     if used > max_colours:
         return False, f"{used} colours used, budget {max_colours}"
-    comps = monochromatic_components(g, colouring.colour)
+    comps = _monochromatic_components(g, colouring.colour)
     worst = max(comps, key=len, default=())
     if len(worst) > max_cluster:
         return False, f"monochromatic component {worst} exceeds cluster bound {max_cluster}"
     return True, None
+
+
+def _monochromatic_components(g, colour):
+    """Components of each colour class, as sorted tuples in order of their least vertex."""
+    classes = {}
+    for v, c in colour.items():
+        classes.setdefault(c, set()).add(v)
+    seen = set()
+    comps = []
+    for s in sorted(colour):
+        if s in seen:
+            continue
+        cls = classes[colour[s]]
+        seen.add(s)
+        stack = [s]
+        comp = [s]
+        while stack:
+            v = stack.pop()
+            for u in g.adj[v] & cls:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+                    comp.append(u)
+        comps.append(tuple(sorted(comp)))
+    return comps
 
 
 def min_colours_with_clustering(g, k, cap=MIN_COLOURS_CAP):

@@ -25,9 +25,10 @@ from oddcluster import (
     verify_model,
     verify_odd_witness,
 )
-from oddcluster.colouring import _assert_scope_locality, monochromatic_components
+from oddcluster import colouring
+from oddcluster.colouring import _assert_scope_locality, _component_oracle, monochromatic_components
 from oddcluster.decomposition import TreeDecomposition, decompose, trivial_decomposition
-from oddcluster.errors import InternalConsistencyError
+from oddcluster.errors import InternalConsistencyError, ResourceLimitError
 from oddcluster.generators import (
     complete_graph,
     cycle_graph,
@@ -37,6 +38,7 @@ from oddcluster.generators import (
     random_tree,
     star_graph,
 )
+from oddcluster.graph import reach
 
 
 def check_certificate(g, cert):
@@ -324,6 +326,113 @@ class TestRegionsWithoutRoomForAModel:
         assert not isinstance(out, OddModelCertificate)
         ok, why = verify_colouring(g, out, colour_budget(h), clustering_budget(d, dec.width))
         assert ok, why
+
+
+class TestComponentOracle:
+    """The layer oracle searches component by component, with the cap per component."""
+
+    @staticmethod
+    def assert_same_as_whole_region(oracle, g, pattern, region):
+        want = find_odd_model(g, pattern, sorted(region), require_nontrivial=True)
+        got = oracle(region)
+        assert (got is None) == (want is None), sorted(region)
+        if want is not None:
+            assert got.payload == want
+            assert list(got.payload[1].colour) == list(want[1].colour)
+            assert got.support == tuple(want[0].covered_vertices())
+
+    def test_random_regions_agree_with_whole_region_search(self):
+        # one oracle per graph and pattern, so later regions hit components
+        # that earlier ones memoised; regions of up to 16 vertices keep the
+        # whole-region reference fast
+        rng = random.Random(913)
+        found = several = 0
+        for _ in range(16):
+            n = rng.randint(20, 40)
+            k, seed, keep = rng.choice((2, 3)), rng.randrange(2**31), rng.uniform(0.5, 0.9)
+            g = random_partial_ktree(n, k, seed, edge_keep=keep)
+            for pattern in (u_graph(1, 2), u_graph(2, 2), u_graph(2, 3)):
+                oracle = _component_oracle(g, pattern, 24)
+                for _ in range(6):
+                    region = frozenset(rng.sample(range(n), rng.randint(6, 16)))
+                    self.assert_same_as_whole_region(oracle, g, pattern, region)
+                    found += oracle(region) is not None
+                    several += _components_with_a_model(oracle, g, region) >= 2
+        assert found > 100 and several > 20
+
+    def test_colouring_regions_agree_with_whole_region_search(self, monkeypatch):
+        # the regions the dichotomy asks about while colouring small-search-like inputs
+        asked = []
+
+        def recording(g, pattern, cap):
+            asked.append((g, pattern, []))
+            oracle = _component_oracle(g, pattern, cap)
+
+            def record(region):
+                asked[-1][2].append(region)
+                return oracle(region)
+
+            return record
+
+        monkeypatch.setattr(colouring, "_component_oracle", recording)
+        rng = random.Random(14)
+        for _ in range(8):
+            n = rng.randint(16, 30)
+            k, seed, keep = rng.choice((3, 4)), rng.randrange(2**31), rng.uniform(0.8, 0.9)
+            g = random_partial_ktree(n, k, seed, edge_keep=keep)
+            colour_bounded_tw(g, 3, rng.choice((2, 3)), decompose(g))
+        checked = 0
+        for g, pattern, regions in asked:
+            oracle = _component_oracle(g, pattern, 24)
+            for region in regions:
+                if len(region) <= 24:
+                    self.assert_same_as_whole_region(oracle, g, pattern, region)
+                    checked += 1
+        assert checked > 300
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partial_2trees_with_layers_over_the_cap(self, seed):
+        # whole-region search gave up on layer regions of 26, 36 and 27 vertices
+        g = random_partial_ktree(100, 2, seed)
+        dec = decompose(g)
+        out = colour_bounded_tw(g, 3, 2, dec)
+        if isinstance(out, OddModelCertificate):
+            check_certificate(g, out)
+        else:
+            ok, why = verify_colouring(g, out, colour_budget(3), clustering_budget(2, dec.width))
+            assert ok, why
+
+    def test_the_least_root_vertex_wins_over_the_least_component(self):
+        # the component of vertex 0 holds a model of U_{2,2} whose root branch
+        # set starts at 21; the other one, rooted at 3, comes first in search order
+        g = Graph(25, [(0, 20), (20, 21), (21, 22), (22, 23), (23, 24)] + [(v, v + 1) for v in range(1, 6)])
+        pattern = u_graph(2, 2)
+        region = frozenset([0, *range(1, 7), *range(20, 25)])
+        target = _component_oracle(g, pattern, 24)(region)
+        assert target.payload == find_odd_model(g, pattern, sorted(region), require_nontrivial=True)
+        assert target.payload[0].branch_sets[0] == (3, 4)
+
+    def test_the_cap_applies_per_component(self):
+        # two disjoint 13-vertex paths: 26 region vertices, 13 per component
+        g = Graph(26, [(v, v + 1) for v in range(25) if v != 12])
+        pattern = u_graph(2, 2)
+        with pytest.raises(ResourceLimitError):
+            find_odd_model(g, pattern, range(26), require_nontrivial=True, cap=24)
+        target = _component_oracle(g, pattern, 24)(frozenset(range(26)))
+        assert target.payload == find_odd_model(g, pattern, range(26), require_nontrivial=True, cap=26)
+        with pytest.raises(ResourceLimitError):
+            _component_oracle(g, pattern, 12)(frozenset(range(26)))
+
+
+def _components_with_a_model(oracle, g, region):
+    count = 0
+    seen = set()
+    for v in sorted(region):
+        if v not in seen:
+            comp = frozenset(reach(g.adj, v, region))
+            seen |= comp
+            count += oracle(comp) is not None
+    return count
 
 
 class TestPostconditions:

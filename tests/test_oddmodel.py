@@ -15,7 +15,14 @@ from oddcluster import (
     verify_odd_witness,
 )
 from oddcluster.errors import ResourceLimitError
-from oddcluster.oddmodel import Model, Witness, _connected_subsets
+from oddcluster.oddmodel import (
+    Model,
+    Witness,
+    _bichromatic_bfs_tree,
+    _connected_subsets,
+    _max_edge_packing_bound,
+    joining_edges,
+)
 from oddcluster.oracles import _spanning_trees, _tree_two_colourings
 from oddcluster.generators import complete_graph, cycle_graph, path_graph, star_graph
 from conftest import random_small_graph
@@ -155,16 +162,46 @@ class TestConnectedSubsetEnumeration:
             avail = set(range(g.n))
             adj = {v: g.adj[v] & avail for v in avail}
             got = set()
-            for mv in sorted(avail):
-                for s in _connected_subsets(adj, avail, mv, lambda cur: False):
-                    assert s not in got, "subset enumerated twice"
-                    got.add(s)
-            expect = set()
-            for r in range(1, g.n + 1):
-                for c in combinations(sorted(avail), r):
-                    if _connected(g, c):
-                        expect.add(c)
-            assert got == expect
+            for s in _connected_subsets(adj, avail, 1, lambda cur: True):
+                assert s not in got, "subset enumerated twice"
+                got.add(s)
+            assert got == _brute_connected_subsets(g, avail)
+
+    def test_monotone_fits_matches_brute_force_filtering(self):
+        # fits is asked once per set of at least min_size vertices, and a set
+        # that does not fit is neither yielded nor grown further
+        rng = random.Random(6)
+        for _ in range(60):
+            g = random_small_graph(rng, 8)
+            avail = set(rng.sample(range(g.n), rng.randint(1, g.n)))
+            adj = {v: g.adj[v] & avail for v in avail}
+            min_size = rng.choice((1, 2))
+            heavy = set(rng.sample(sorted(avail), min(len(avail), 3)))
+            limit = rng.randint(1, 5)
+
+            def ok(cur):
+                return len(cur) <= limit and len(cur & heavy) <= 1
+
+            def fits(cur):
+                asked.append(frozenset(cur))
+                return ok(cur)
+
+            asked = []
+            got = list(_connected_subsets(adj, avail, min_size, fits))
+            expect = {s for s in _brute_connected_subsets(g, avail) if len(s) >= min_size and ok(set(s))}
+            assert len(got) == len(set(got)) and set(got) == expect
+            assert len(asked) == len(set(asked)), "a set was tested twice"
+            assert all(len(s) >= min_size for s in asked)
+            assert {frozenset(s) for s in got} <= set(asked)
+
+
+def _brute_connected_subsets(g, avail):
+    out = set()
+    for r in range(1, len(avail) + 1):
+        for c in combinations(sorted(avail), r):
+            if _connected(g, c):
+                out.add(c)
+    return out
 
 
 def _connected(g, verts):
@@ -286,3 +323,174 @@ def _witness_by_tree_enumeration(g, h, sets):
         if good:
             return True
     return False
+
+
+class TestAgainstThePreviousSearch:
+    """The search against the one it replaced, kept below as the reference.
+
+    The reference tests every candidate twice (before yielding it and after
+    the join test) and keeps one colour dict per pattern vertex in the
+    witness search; the two must return the same model and witness.
+    """
+
+    PATTERNS = {
+        "K1": K1,
+        "K2": K2,
+        "K3": K3,
+        "P4": path_graph(4),
+        "C4": cycle_graph(4),
+        "K4": complete_graph(4),
+        "U22": u_graph(2, 2),
+        "U23": u_graph(2, 3),
+        "U32": u_graph(3, 2),
+    }
+
+    def test_identical_models_and_witnesses(self):
+        # K4 and U_{3,2} search a region of at most 9 vertices: an exhaustive
+        # miss on 12 vertices takes the reference seconds
+        rng = random.Random(4242)
+        found = 0
+        for _ in range(25):
+            g = random_small_graph(rng, 12, n_min=4)
+            for name, h in self.PATTERNS.items():
+                for nt in (False, True):
+                    region = None
+                    if name in ("K4", "U32"):
+                        region = rng.sample(range(g.n), min(g.n, 9))
+                    elif rng.random() < 0.3:
+                        region = rng.sample(range(g.n), rng.randint(1, g.n))
+                    got = find_odd_model(g, h, region, require_nontrivial=nt)
+                    want = _reference_find_odd_model(g, h, region, require_nontrivial=nt)
+                    assert got == want, (g, name, nt, region)
+                    if got is not None:
+                        assert list(got[1].colour) == list(want[1].colour)
+                        found += 1
+        assert found > 100
+
+
+def _reference_find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=24):
+    if region is None:
+        region = range(g.n)
+    region = sorted(set(region))
+    region_set = set(region)
+    if require_nontrivial and _max_edge_packing_bound(g, region_set) < pattern.n:
+        return None
+    if len(region) > cap:
+        raise ResourceLimitError("capped")
+    adj = {v: g.adj[v] & region_set for v in region}
+    min_size = 2 if require_nontrivial else 1
+    order = sorted(range(pattern.n), key=lambda x: (-pattern.degree(x), x))
+    pattern_pos = {x: k for k, x in enumerate(order)}
+
+    if pattern.n * min_size > len(region):
+        return None
+
+    def feasible_rest(available, slots_left):
+        if require_nontrivial:
+            return _max_edge_packing_bound(g, available) >= slots_left
+        return len(available) >= slots_left
+
+    def place(k, available, sets):
+        if k == len(order):
+            return _reference_witness_search(g, pattern, order, sets)
+        x = order[k]
+        slots_after = len(order) - k - 1
+
+        def prune(current):
+            if len(current) >= min_size:
+                return not feasible_rest(available - current, slots_after)
+            return False
+
+        for mv in sorted(available):
+            cands = _reference_grow(adj, {mv}, {v for v in available if v > mv}, prune)
+            for cand in cands:
+                if len(cand) < min_size:
+                    continue
+                cand_set = set(cand)
+                ok = True
+                for y in pattern.adj[x]:
+                    if pattern_pos[y] < k and not joining_edges(g, sets[y], cand):
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                if not feasible_rest(available - cand_set, slots_after):
+                    continue
+                sets[x] = cand
+                found = place(k + 1, available - cand_set, sets)
+                if found is not None:
+                    return found
+                del sets[x]
+        return None
+
+    return place(0, region_set, {})
+
+
+def _reference_grow(adj, current, candidates, prune):
+    yield tuple(sorted(current))
+    if prune(current):
+        return
+    frontier = sorted({u for v in current for u in adj[v] if u in candidates and u not in current})
+    banned = set()
+    for u in frontier:
+        yield from _reference_grow(adj, current | {u}, candidates - banned, prune)
+        banned.add(u)
+
+
+def _reference_witness_search(g, pattern, order, sets):
+    options = {}
+    for x, bs in sets.items():
+        opts = []
+        for bits in range(1 << len(bs)):
+            col = {v: (bits >> i) & 1 for i, v in enumerate(bs)}
+            if parity_realizable(g, bs, col):
+                opts.append(col)
+        if not opts:
+            return None
+        options[x] = opts
+    joins = {}
+    for x, y in pattern.edges:
+        je = joining_edges(g, sets[x], sets[y])
+        if not je:
+            return None
+        joins[(x, y)] = je
+
+    chosen = {}
+
+    def assign(k):
+        if k == len(order):
+            return True
+        x = order[k]
+        for col in options[x]:
+            chosen[x] = col
+            ok = True
+            for y in pattern.adj[x]:
+                if y not in chosen or y == x:
+                    continue
+                key = (x, y) if (x, y) in joins else (y, x)
+                mono = False
+                for a, b in joins[key]:
+                    ca = chosen[x].get(a, chosen[y].get(a))
+                    cb = chosen[x].get(b, chosen[y].get(b))
+                    if ca == cb:
+                        mono = True
+                        break
+                if not mono:
+                    ok = False
+                    break
+            if ok and assign(k + 1):
+                return True
+            del chosen[x]
+        return False
+
+    if not assign(0):
+        return None
+    colour = {}
+    for x in sets:
+        colour.update(chosen[x])
+    model = Model(
+        pattern=pattern,
+        branch_sets={x: tuple(bs) for x, bs in sets.items()},
+        branch_trees={x: _bichromatic_bfs_tree(g, bs, chosen[x]) for x, bs in sets.items()},
+    )
+    return model, Witness(colour=colour)

@@ -1,5 +1,7 @@
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,8 @@ from oddcluster import (
     odd_minor_oracle,
     verify_colouring,
 )
+from oddcluster import oracles
+from oddcluster.colouring import monochromatic_components
 from oddcluster.errors import ResourceLimitError
 from oddcluster.generators import complete_graph, cycle_graph, path_graph, star_graph
 from conftest import all_two_colourings_proper, random_small_graph
@@ -48,6 +52,31 @@ class TestVerifyColouring:
         c = make_colouring(g, {0: 0})
         with pytest.raises(ValueError):
             verify_colouring(g, c, 1, 1)
+
+
+    def test_own_components_agree_with_the_colouring_module(self):
+        # the falsifier walks colour classes itself; it must find the same
+        # components, in the same order, so its verdicts and texts stay put
+        rng = random.Random(808)
+        for _ in range(200):
+            g = random_small_graph(rng, 14)
+            colour = {v: rng.randrange(rng.randint(1, 4)) for v in range(g.n)}
+            assert oracles._monochromatic_components(g, colour) == monochromatic_components(g, colour)
+            c = make_colouring(g, colour)
+            worst = max(monochromatic_components(g, c.colour), key=len)
+            ok, why = verify_colouring(g, c, 4, len(worst) - 1)
+            assert not ok
+            assert why == f"monochromatic component {worst} exceeds cluster bound {len(worst) - 1}"
+
+    def test_imports_no_engine_module(self):
+        # the falsifier shares no code with what it checks
+        imported = set()
+        for node in ast.walk(ast.parse(Path(oracles.__file__).read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+        assert {m for m in imported if m.startswith((".", "oddcluster"))} == {".errors"}
 
 
 class TestMinColours:
