@@ -5,8 +5,10 @@ candidate width k it searches for an order eliminating every vertex with
 (filled) degree at most k, memoizing failed eliminated-sets.  The filled
 graph after eliminating a set is independent of the order, so the
 eliminated-set is a sound state key; each branch of the search eliminates
-on its own copy of the filled adjacency, the same elimination game that
-min-fill and ``decomposition_from_order`` play.
+on its own copy of the filled adjacency, and ``decomposition_from_order``
+replays the order it finds to read off the bags.  Min-fill plays the game
+once: it records each bag as it eliminates, keeping fill-in counts up to
+date incrementally, and the tree is built from those bags.
 
 Every decomposition numbers its nodes in pre-order and stores its tree as a
 parent array, so the subtree of node x is the node range ``x .. end[x] - 1``
@@ -135,51 +137,71 @@ def _eliminate(adj, v):
         adj[a].discard(v)
 
 
-def _min_fill_order(g):
+def _min_fill_elimination(g):
     """Eliminate a vertex of least fill-in next, ties to the smaller index.
 
-    Fill-in is kept in a lazy heap.  Eliminating v changes the fill only of
-    N(v) (their neighbourhoods change) and of N(N(v)) (edges appear among
-    their neighbours), so only those are recomputed; an entry whose fill is
+    Returns ``(order, bags)``, where ``bags[i]`` is ``N(v) | {v}`` for
+    ``v = order[i]`` in the filled graph at the moment v is eliminated.
+    Fill-in is kept in a lazy heap and updated in place: a fill edge ab adds
+    to a (and to b) the neighbours of a that b misses, and removes the pair
+    from every common neighbour; when v then leaves, each u in N(v) loses the
+    pairs of v with the neighbours of u that v misses.  Every count is a size
+    minus an intersection, and an intersection walks the smaller set, so a
+    vertex next to a hub never pays the hub's degree.  An entry whose fill is
     no longer current is skipped when popped.
     """
     adj = [set(s) for s in g.adj]
-
-    def fill(v):
-        # non-adjacent pairs in N(v): N(v) - N(a) holds a itself and the
-        # members of N(v) that a misses; summed over a, each pair counts twice
-        nbrs = adj[v]
-        return (sum(len(nbrs - adj[a]) for a in nbrs) - len(nbrs)) // 2
-
-    current = [fill(v) for v in range(g.n)]
-    heap = [(f, v) for v, f in enumerate(current)]
+    # non-adjacent pairs in N(v): deg(v) - |N(v) & N(a)| counts a itself and
+    # the members of N(v) that a misses; summed over a, each pair counts twice
+    fill = []
+    for nbrs in adj:
+        deg = len(nbrs)
+        fill.append((deg * deg - deg - sum(len(nbrs & adj[a]) for a in nbrs)) // 2)
+    heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
     alive = [True] * g.n
     order = []
+    bags = []
     while heap:
-        f, best = heapq.heappop(heap)
-        if not alive[best] or f != current[best]:
+        f, v = heapq.heappop(heap)
+        if not alive[v] or f != fill[v]:
             continue
-        _eliminate(adj, best)
-        alive[best] = False
-        order.append(best)
-        touched = set(adj[best])
-        for a in adj[best]:
-            touched |= adj[a]
+        alive[v] = False
+        order.append(v)
+        nbrs = adj[v]
+        bags.append(nbrs | {v})
+        touched = set(nbrs)
+        for a in nbrs:
+            missing = nbrs - adj[a]
+            missing.discard(a)
+            for b in missing:
+                common = adj[a] & adj[b]  # holds v
+                fill[a] += len(adj[a]) - len(common)
+                fill[b] += len(adj[b]) - len(common)
+                for c in common:
+                    fill[c] -= 1
+                touched |= common
+                adj[a].add(b)
+                adj[b].add(a)
+        # N(v) is now a clique, so v misses |N(u)| - |N(v)| neighbours of u
+        for u in nbrs:
+            fill[u] -= len(adj[u]) - len(nbrs)
+            adj[u].discard(v)
+        touched.discard(v)
         for u in touched:
-            f = fill(u)
-            if f != current[u]:
-                current[u] = f
-                heapq.heappush(heap, (f, u))
-    return order
+            heapq.heappush(heap, (fill[u], u))
+    return order, bags
 
 
-def _degeneracy_lower_bound(g):
-    """Max over the peeling process of the minimum degree (MMD lower bound)."""
+def _degeneracy_lower_bound(g, stop):
+    """Max over the peeling process of the minimum degree (MMD lower bound).
+
+    Peeling ends once the bound reaches ``stop``.
+    """
     adj = [set(s) for s in g.adj]
     alive = set(range(g.n))
     lb = 0
-    while alive:
+    while alive and lb < stop:
         v = min(alive, key=lambda x: (len(adj[x]), x))
         lb = max(lb, len(adj[v]))
         for u in adj[v]:
@@ -232,18 +254,25 @@ def _find_order_within(g, k):
 
 
 def decomposition_from_order(g, order):
-    """Build a decomposition from an elimination order, rooted at its last bag.
-
-    Siblings are visited by minimum bag element, ties by bag index.
-    """
-    if g.n == 0:
-        return TreeDecomposition((-1,), [()])
+    """Build a decomposition from an elimination order, rooted at its last bag."""
     adj = [set(s) for s in g.adj]
     bags = []
-    pos = {v: i for i, v in enumerate(order)}
     for v in order:
         bags.append(adj[v] | {v})
         _eliminate(adj, v)
+    return _tree_from_bags(order, bags)
+
+
+def _tree_from_bags(order, bags):
+    """The decomposition whose node i holds ``bags[i]``, the bag of ``order[i]``.
+
+    Node i hangs below the bag of its earliest-eliminated other member, or
+    below the next bag when it has none.  Rooted at the last bag; siblings
+    are visited by minimum bag element, ties by bag index.
+    """
+    if not order:
+        return TreeDecomposition((-1,), [()])
+    pos = {v: i for i, v in enumerate(order)}
     children = [[] for _ in order]
     for i, v in enumerate(order[:-1]):
         later = [pos[u] for u in bags[i] if u != v]
@@ -257,9 +286,9 @@ def exact_treewidth(g, cap=EXACT_TREEWIDTH_CAP):
     """Minimum-width tree-decomposition via iterative deepening on width."""
     if g.n > cap:
         raise ResourceLimitError(f"exact treewidth capped at {cap} vertices, got {g.n}")
-    mf_dec = decomposition_from_order(g, _min_fill_order(g))
+    mf_dec = _tree_from_bags(*_min_fill_elimination(g))
     ub = mf_dec.width
-    for k in range(_degeneracy_lower_bound(g), ub):
+    for k in range(_degeneracy_lower_bound(g, ub), ub):
         order = _find_order_within(g, k)
         if order is not None:
             return k, decomposition_from_order(g, order)
@@ -268,7 +297,7 @@ def exact_treewidth(g, cap=EXACT_TREEWIDTH_CAP):
 
 def heuristic_decomposition(g):
     """Valid decomposition from a min-fill elimination order (width >= tw)."""
-    return decomposition_from_order(g, _min_fill_order(g))
+    return _tree_from_bags(*_min_fill_elimination(g))
 
 
 def decompose(g):

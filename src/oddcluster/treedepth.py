@@ -5,6 +5,8 @@ Tree-depth is computed by memoized recursion over vertex subsets
 the default cap is 20 vertices.
 """
 
+from functools import lru_cache
+
 from .errors import ResourceLimitError
 from .graph import Graph, RootedTree
 
@@ -39,8 +41,12 @@ def complete_dary_tree(h, d):
     return RootedTree(parent=parent, roots=(0,))
 
 
+@lru_cache(maxsize=64)
 def u_graph(h, d):
-    """U_{h,d}: the closure of the complete d-ary tree of vertex-height h."""
+    """U_{h,d}: the closure of the complete d-ary tree of vertex-height h.
+
+    Memoized: a ``Graph`` is immutable, so every caller can share one copy.
+    """
     return closure(complete_dary_tree(h, d))
 
 

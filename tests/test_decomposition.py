@@ -20,7 +20,7 @@ from oddcluster.decomposition import (
     trivial_decomposition,
 )
 from oddcluster.errors import ResourceLimitError
-from oddcluster.generators import complete_graph, cycle_graph, random_tree
+from oddcluster.generators import complete_graph, cycle_graph, random_tree, star_graph
 from conftest import brute_treewidth, random_small_graph, renumbered
 
 
@@ -141,6 +141,14 @@ class TestHeuristic:
             g = random_partial_ktree(12, 2, seed, edge_keep=1.0)
             assert heuristic_decomposition(g).width == exact_treewidth(g)[0] == 2
 
+    @pytest.mark.parametrize("shape, width", [("star", 1), ("fan", 2), ("wheel", 3)])
+    def test_hubs_of_twenty_thousand_vertices(self, shape, width):
+        # each elimination next to the hub must not pay the hub's degree
+        g = HUBS[shape](20000)
+        dec = heuristic_decomposition(g)
+        assert dec.width == width
+        assert validate_decomposition(g, dec) == (True, None)
+
 
 class TestRestrictAndTraversal:
     def test_restrict_stays_valid(self):
@@ -229,6 +237,19 @@ class TestRestrictAndTraversal:
         dec = TreeDecomposition(range(-1, n - 1), [(i,) for i in range(n)])
         assert postorder(dec) == list(range(n - 1, -1, -1))
         assert len(subtree_bag_unions(dec)[0]) == n
+
+
+def fan_graph(n):
+    """Hub 0 joined to every vertex of the path 1 .. n-1."""
+    return Graph(n, [(0, i) for i in range(1, n)] + [(i, i + 1) for i in range(1, n - 1)])
+
+
+def wheel_graph(n):
+    """Hub 0 joined to every vertex of the cycle 1 .. n-1."""
+    return Graph(n, fan_graph(n).edges | {(1, n - 1)})
+
+
+HUBS = {"star": star_graph, "fan": fan_graph, "wheel": wheel_graph}
 
 
 def reference_min_fill_order(g):
@@ -337,19 +358,94 @@ def reference_find_order_within(g, k):
     return order if search(set(), order) else None
 
 
+def reference_decomposition_from_order(g, order):
+    """decomposition_from_order before min-fill recorded its bags: replay the game, then build."""
+    from oddcluster.decomposition import _eliminate, preorder_decomposition
+
+    if g.n == 0:
+        return TreeDecomposition((-1,), [()])
+    adj = [set(s) for s in g.adj]
+    bags = []
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        bags.append(adj[v] | {v})
+        _eliminate(adj, v)
+    children = [[] for _ in order]
+    for i, v in enumerate(order[:-1]):
+        later = [pos[u] for u in bags[i] if u != v]
+        children[min(later) if later else i + 1].append(i)
+    for kids in children:
+        kids.sort(key=lambda y: min(bags[y]))
+    return preorder_decomposition(children, [len(order) - 1], bags)
+
+
+def reference_degeneracy_lower_bound(g):
+    """The MMD lower bound peeled to the last vertex."""
+    adj = [set(s) for s in g.adj]
+    alive = set(range(g.n))
+    lb = 0
+    while alive:
+        v = min(alive, key=lambda x: (len(adj[x]), x))
+        lb = max(lb, len(adj[v]))
+        for u in adj[v]:
+            adj[u].discard(v)
+        alive.remove(v)
+    return lb
+
+
+def reference_exact_treewidth(g):
+    """exact_treewidth composed of the reference min-fill, replay and full peel."""
+    from oddcluster.decomposition import _find_order_within
+
+    mf_dec = reference_decomposition_from_order(g, reference_min_fill_order(g))
+    ub = mf_dec.width
+    for k in range(reference_degeneracy_lower_bound(g), ub):
+        order = _find_order_within(g, k)
+        if order is not None:
+            return k, reference_decomposition_from_order(g, order)
+    return ub, mf_dec
+
+
+def differential_graphs():
+    """Tier-1 fixtures, 1000 seeded random graphs of at most 40 vertices, and hubs."""
+    from oddcluster.generators import random_graph, random_partial_ktree
+
+    _, graphs = TestPreorderAgainstTraceIndex().fixtures()
+    rng = random.Random(41)
+    graphs += [cycle_graph(n) for n in (3, 4, 10, 31)] + [complete_graph(5), Graph(6)]
+    for trial in range(60):
+        graphs.append(random_small_graph(rng, 12))
+        graphs.append(random_partial_ktree(rng.randint(5, 40), rng.randint(1, 4), trial))
+    for trial in range(1000):
+        graphs.append(random_graph(rng.randint(0, 40), rng.random() * 0.3, trial))
+    for n in (5, 6, 7, 12, 30, 75, 150, 300):
+        graphs += [make(n) for make in HUBS.values()]
+    return graphs
+
+
 class TestAgainstReferences:
     def test_heap_min_fill_matches_quadratic_order(self):
-        from oddcluster.decomposition import _min_fill_order
-        from oddcluster.generators import random_graph, random_partial_ktree
+        # one incremental pass gives the quadratic order and the replayed decomposition
+        from oddcluster.decomposition import _min_fill_elimination, _tree_from_bags
 
-        rng = random.Random(41)
-        graphs = [cycle_graph(n) for n in (3, 4, 10, 31)] + [complete_graph(5), Graph(6)]
-        for trial in range(60):
-            graphs.append(random_small_graph(rng, 12))
-            graphs.append(random_graph(rng.randint(5, 25), rng.random() * 0.4, trial))
-            graphs.append(random_partial_ktree(rng.randint(5, 40), rng.randint(1, 4), trial))
-        for g in graphs:
-            assert _min_fill_order(g) == reference_min_fill_order(g)
+        for g in differential_graphs():
+            order, bags = _min_fill_elimination(g)
+            assert order == reference_min_fill_order(g)
+            dec = _tree_from_bags(order, bags)
+            want = reference_decomposition_from_order(g, order)
+            assert (dec.parent, dec.bags) == (want.parent, want.bags)
+            dec = heuristic_decomposition(g)
+            assert (dec.parent, dec.bags) == (want.parent, want.bags)
+
+    def test_exact_treewidth_matches_the_replayed_composition(self):
+        checked = 0
+        for g in differential_graphs():
+            if g.n <= 14:
+                width, dec = exact_treewidth(g)
+                want_width, want = reference_exact_treewidth(g)
+                assert (width, dec.parent, dec.bags) == (want_width, want.parent, want.bags)
+                checked += 1
+        assert checked > 500
 
     def test_order_search_matches_the_reach_through_game(self):
         from oddcluster.decomposition import _find_order_within
@@ -565,11 +661,11 @@ class TestPreorderAgainstTraceIndex:
         return rng, graphs
 
     def test_min_fill_and_exact_decompositions(self):
-        from oddcluster.decomposition import _find_order_within, _min_fill_order
+        from oddcluster.decomposition import _find_order_within, _min_fill_elimination
 
         rng, graphs = self.fixtures()
         for g in graphs:
-            orders = [_min_fill_order(g)]
+            orders = [_min_fill_elimination(g)[0]]
             if 0 < g.n <= 12:
                 width = exact_treewidth(g)[0]
                 orders.append(_find_order_within(g, width) or orders[0])

@@ -52,6 +52,12 @@ class TestUGraph:
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError):
             u_graph(10, 10)
+        with pytest.raises(ResourceLimitError):  # a refused size is not memoized
+            u_graph(10, 10)
+
+    def test_memoized_copy_is_the_closure(self):
+        assert u_graph(3, 2) is u_graph(3, 2)
+        assert u_graph(3, 2) == closure(complete_dary_tree(3, 2))
 
     @pytest.mark.parametrize(
         "h, d",
