@@ -278,6 +278,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -5,10 +5,9 @@ candidate width k it searches for an order eliminating every vertex with
 (filled) degree at most k, memoizing failed eliminated-sets.  The filled
 graph after eliminating a set is independent of the order, so the
 eliminated-set is a sound state key; each branch of the search eliminates
-on its own copy of the filled adjacency, and ``decomposition_from_order``
-replays the order it finds to read off the bags.  Min-fill plays the game
-once: it records each bag as it eliminates, keeping fill-in counts up to
-date incrementally, and the tree is built from those bags.
+on its own copy of the filled adjacency and records the bag of each vertex
+it eliminates.  Min-fill plays the game once too, keeping fill-in counts up
+to date incrementally; either way the tree is built from the recorded bags.
 
 Every decomposition numbers its nodes in pre-order and stores its tree as a
 parent array, so the subtree of node x is the node range ``x .. end[x] - 1``
@@ -211,7 +210,7 @@ def _degeneracy_lower_bound(g, stop):
 
 
 def _find_order_within(g, k):
-    """Elimination order with every filled degree <= k, or None.
+    """``(order, bags)`` like ``_min_fill_elimination``'s, each filled degree <= k, or None.
 
     Depth-first search over eliminated-sets with a dead-state memo; each
     branch eliminates on its own copy of the filled adjacency.  A vertex
@@ -220,7 +219,7 @@ def _find_order_within(g, k):
     """
     dead = set()
 
-    def search(adj, eliminated, order):
+    def search(adj, eliminated, order, bags):
         if len(eliminated) == g.n:
             return True
         key = frozenset(eliminated)
@@ -240,27 +239,19 @@ def _find_order_within(g, k):
             _eliminate(filled, v)
             eliminated.add(v)
             order.append(v)
-            if search(filled, eliminated, order):
+            bags.append(adj[v] | {v})
+            if search(filled, eliminated, order, bags):
                 return True
             eliminated.discard(v)
             order.pop()
+            bags.pop()
         dead.add(key)
         return False
 
-    order = []
-    found = search([set(s) for s in g.adj], set(), order)
+    order, bags = [], []
+    found = search([set(s) for s in g.adj], set(), order, bags)
     search = None  # drop the closure's reference to itself: no cycle for the collector
-    return order if found else None
-
-
-def decomposition_from_order(g, order):
-    """Build a decomposition from an elimination order, rooted at its last bag."""
-    adj = [set(s) for s in g.adj]
-    bags = []
-    for v in order:
-        bags.append(adj[v] | {v})
-        _eliminate(adj, v)
-    return _tree_from_bags(order, bags)
+    return (order, bags) if found else None
 
 
 def _tree_from_bags(order, bags):
@@ -289,9 +280,9 @@ def exact_treewidth(g, cap=EXACT_TREEWIDTH_CAP):
     mf_dec = _tree_from_bags(*_min_fill_elimination(g))
     ub = mf_dec.width
     for k in range(_degeneracy_lower_bound(g, ub), ub):
-        order = _find_order_within(g, k)
-        if order is not None:
-            return k, decomposition_from_order(g, order)
+        found = _find_order_within(g, k)
+        if found is not None:
+            return k, _tree_from_bags(*found)
     return ub, mf_dec
 
 
@@ -354,14 +345,26 @@ def trivial_decomposition(g):
     return TreeDecomposition((-1,), [tuple(range(g.n))])
 
 
-def subtree_bag_unions(dec):
-    """For each node, the union of bags in its rooted subtree."""
-    out = [set(b) for b in dec.bags]
-    parent = dec.parent
-    for x in reversed(range(len(out))):  # children come after their parents
-        if parent[x] >= 0:
-            out[parent[x]] |= out[x]
-    return out
+def subtree_bag_unions(dec, order):
+    """Yield the union of the bags in each node's subtree, along the post-order ``order``.
+
+    Each union starts from the pending set its children merged into, merges
+    itself into its parent's, and is dropped: the pending sets stand for
+    disjoint sets of finished nodes, so memory stays linear in the bags.
+    """
+    parent, bags = dec.parent, dec.bags
+    pending = [None] * len(bags)
+    for x in order:
+        union = pending[x] or set()
+        pending[x] = None
+        union.update(bags[x])
+        yield union
+        p = parent[x]
+        if p >= 0:
+            if pending[p] is None:
+                pending[p] = set(union)  # a copy, so a yielded set never changes
+            else:
+                pending[p] |= union
 
 
 def postorder(dec):

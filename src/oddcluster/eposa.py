@@ -58,12 +58,12 @@ def disjoint_or_hitting(g, dec, oracle, ell):
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    unions = subtree_bag_unions(dec)
+    order = postorder(dec)
     deleted = set()
     hitting = []
     found = []
-    for x in postorder(dec):
-        region = frozenset(unions[x] - deleted)
+    for x, union in zip(order, subtree_bag_unions(dec, order)):
+        region = frozenset(union - deleted)
         if not region:
             continue
         target = oracle(region)
@@ -74,7 +74,7 @@ def disjoint_or_hitting(g, dec, oracle, ell):
         if len(found) == ell:
             return Dichotomy(disjoint=found)
         hitting.extend(set(dec.bags[x]) - deleted)
-        deleted |= unions[x]
+        deleted |= region
     hitting_set = tuple(sorted(hitting))
     bound = (ell - 1) * (dec.width + 1)
     if len(hitting_set) > bound:

@@ -58,16 +58,10 @@ def u_child_embedding(h, d, j):
     """
     if h < 2 or not 0 <= j < d:
         raise ValueError("need h >= 2 and 0 <= j < d")
-    emb = {}
-    sub_start = 0  # first index of level l in the (h-1)-tree
-    big_start = 1  # first index of level l+1 in the h-tree
-    size = 1  # d**l
-    for level in range(h - 1):
-        for p in range(size):
-            emb[sub_start + p] = big_start + j * size + p
-        sub_start += size
-        big_start += size * d
-        size *= d
+    # in BFS order the children of v are d*v + 1 .. d*v + d, in both trees
+    emb = {0: 1 + j}
+    for w in range(1, sum(d**level for level in range(h - 1))):
+        emb[w] = d * emb[(w - 1) // d] + 1 + (w - 1) % d
     return emb
 
 
@@ -91,14 +85,18 @@ def _bit_components(adj_masks, mask):
 
 
 class _TreeDepthSearch:
-    """Memoized recursion td(G) = 1 + min_v td(G - v) on connected pieces."""
+    """Memoized recursion td(G) = 1 + min_v td(G - v) on connected pieces.
+
+    On any mask, ``connected_value`` is 1 + min_v td(G - v): the connected
+    tree-depth, and the tree-depth when the mask is connected.
+    """
 
     def __init__(self, g):
         self.adj = [0] * g.n
         for a, b in g.edges:
             self.adj[a] |= 1 << b
             self.adj[b] |= 1 << a
-        self.memo = {}  # connected mask -> (value, chosen root)
+        self.memo = {}  # mask -> (connected_value, chosen root)
 
     def forest_value(self, mask):
         if mask == 0:
@@ -127,17 +125,22 @@ class _TreeDepthSearch:
         self.memo[mask] = (best, best_v)
         return best
 
+    def tree_witness(self, mask):
+        """Parent map and root of a rooted tree of height ``connected_value(mask)``."""
+        self.connected_value(mask)
+        root = self.memo[mask][1]
+        parent, sub_roots = self.forest_witness(mask & ~(1 << root))
+        parent.update(dict.fromkeys(sub_roots, root))
+        return parent, root
+
     def forest_witness(self, mask):
         """Parent map and roots of an optimal rooted forest for the induced subgraph."""
         parent = {}
         roots = []
         for comp in _bit_components(self.adj, mask):
-            self.connected_value(comp)
-            root = self.memo[comp][1]
-            roots.append(root)
-            below, sub_roots = self.forest_witness(comp & ~(1 << root))
+            below, root = self.tree_witness(comp)
             parent.update(below)
-            parent.update(dict.fromkeys(sub_roots, root))
+            roots.append(root)
         return parent, roots
 
 
@@ -160,9 +163,9 @@ def tree_depth(g, cap=TREE_DEPTH_CAP):
 def connected_tree_depth(g, cap=TREE_DEPTH_CAP):
     """Minimum vertex-height of a single rooted tree on V(G) whose closure contains G.
 
-    Computed directly as 1 + min over roots r of td(G - r): removing the
-    root of the witness tree leaves a rooted forest that must accommodate
-    G - r, and conversely any such forest hangs below r.
+    This is 1 + min over roots r of td(G - r): removing the root of the
+    witness tree leaves a rooted forest that must accommodate G - r, and
+    conversely any such forest hangs below r.
     """
     if g.n == 0:
         raise ValueError("connected tree-depth needs at least one vertex")
@@ -170,14 +173,6 @@ def connected_tree_depth(g, cap=TREE_DEPTH_CAP):
         raise ResourceLimitError(f"tree-depth search capped at {cap} vertices, got {g.n}")
     search = _TreeDepthSearch(g)
     full = (1 << g.n) - 1
-    best = None
-    best_r = None
-    for r in range(g.n):
-        val = 1 + search.forest_value(full & ~(1 << r))
-        if best is None or val < best:
-            best, best_r = val, r
-    parent, roots = search.forest_witness(full & ~(1 << best_r))
-    for sub_root in roots:
-        parent[sub_root] = best_r
-    return best, RootedTree(parent=parent, roots=(best_r,))
+    parent, root = search.tree_witness(full)
+    return search.connected_value(full), RootedTree(parent=parent, roots=(root,))
 

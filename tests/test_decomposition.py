@@ -13,7 +13,6 @@ from oddcluster import (
     validate_decomposition,
 )
 from oddcluster.decomposition import (
-    decomposition_from_order,
     postorder,
     restrict_decomposition,
     subtree_bag_unions,
@@ -175,7 +174,7 @@ class TestRestrictAndTraversal:
 
     def test_subtree_bag_unions(self):
         _, dec = exact_treewidth(cycle_graph(6))
-        unions = subtree_bag_unions(dec)
+        unions = node_unions(dec)
         assert unions[0] == set(range(6))
         for x in range(dec.num_nodes):
             expect = set(dec.bags[x])
@@ -236,7 +235,13 @@ class TestRestrictAndTraversal:
         n = 5000
         dec = TreeDecomposition(range(-1, n - 1), [(i,) for i in range(n)])
         assert postorder(dec) == list(range(n - 1, -1, -1))
-        assert len(subtree_bag_unions(dec)[0]) == n
+        assert len(node_unions(dec)[0]) == n
+
+
+def node_unions(dec):
+    """Node -> its subtree bag union, read off the post-order stream."""
+    order = postorder(dec)
+    return dict(zip(order, subtree_bag_unions(dec, order)))
 
 
 def fan_graph(n):
@@ -400,9 +405,9 @@ def reference_exact_treewidth(g):
     mf_dec = reference_decomposition_from_order(g, reference_min_fill_order(g))
     ub = mf_dec.width
     for k in range(reference_degeneracy_lower_bound(g), ub):
-        order = _find_order_within(g, k)
-        if order is not None:
-            return k, reference_decomposition_from_order(g, order)
+        found = _find_order_within(g, k)
+        if found is not None:
+            return k, reference_decomposition_from_order(g, found[0])
     return ub, mf_dec
 
 
@@ -448,7 +453,9 @@ class TestAgainstReferences:
         assert checked > 500
 
     def test_order_search_matches_the_reach_through_game(self):
-        from oddcluster.decomposition import _find_order_within
+        # the order is the reach-through game's, and each recorded bag is the
+        # replay's, so the tree built from them is the replayed one
+        from oddcluster.decomposition import _eliminate, _find_order_within, _tree_from_bags
         from oddcluster.generators import random_graph, random_partial_ktree
 
         rng = random.Random(53)
@@ -461,8 +468,18 @@ class TestAgainstReferences:
         for g in graphs:
             for k in range(min(g.n, 5)):
                 want = reference_find_order_within(g, k)
-                assert _find_order_within(g, k) == want
-                found += want is not None
+                got = _find_order_within(g, k)
+                assert (got and got[0]) == want
+                if got is not None:
+                    order, bags = got
+                    adj = [set(s) for s in g.adj]
+                    for v, bag in zip(order, bags):
+                        assert bag == adj[v] | {v}
+                        _eliminate(adj, v)
+                    dec = _tree_from_bags(order, bags)
+                    replayed = reference_decomposition_from_order(g, order)
+                    assert (dec.parent, dec.bags) == (replayed.parent, replayed.bags)
+                    found += 1
         assert found > 50
 
     def test_validation_reports_the_same_violation(self):
@@ -593,8 +610,8 @@ def parent_array(tree, n):
 
 def walk(dec):
     """Bags and subtree unions in post-order: all the dichotomy reads of a decomposition."""
-    unions = subtree_bag_unions(dec)
-    return [(dec.bags[x], unions[x]) for x in postorder(dec)]
+    order = postorder(dec)
+    return [(dec.bags[x], u) for x, u in zip(order, subtree_bag_unions(dec, order))]
 
 
 def reference_walk(tree, bags):
@@ -661,16 +678,20 @@ class TestPreorderAgainstTraceIndex:
         return rng, graphs
 
     def test_min_fill_and_exact_decompositions(self):
-        from oddcluster.decomposition import _find_order_within, _min_fill_elimination
+        from oddcluster.decomposition import (
+            _find_order_within,
+            _min_fill_elimination,
+            _tree_from_bags,
+        )
 
         rng, graphs = self.fixtures()
         for g in graphs:
-            orders = [_min_fill_elimination(g)[0]]
+            eliminations = [_min_fill_elimination(g)]
             if 0 < g.n <= 12:
                 width = exact_treewidth(g)[0]
-                orders.append(_find_order_within(g, width) or orders[0])
-            for order in orders:
-                dec = decomposition_from_order(g, order)
+                eliminations.append(_find_order_within(g, width) or eliminations[0])
+            for order, recorded in eliminations:
+                dec = _tree_from_bags(order, recorded)
                 tree, bags = reference_from_order(g, order)
                 assert sorted(dec.bags) == sorted(bags)
                 assert validate_decomposition(g, dec) == (True, None)

@@ -186,13 +186,17 @@ class TestForestDecomposition:
         # roots 0 (children 1, 2) and 3 (child 4, grandchild 5)
         dec = TreeDecomposition((-1, 0, 0, -1, 3, 4), [(0,), (2,), (3,), (1,), (4,), (5,)])
         assert postorder(dec) == [1, 2, 0, 5, 4, 3]
-        assert subtree_bag_unions(dec) == [{0, 2, 3}, {2}, {3}, {1, 4, 5}, {4, 5}, {5}]
+        unions = subtree_bag_unions(dec, postorder(dec))
+        assert list(unions) == [{2}, {3}, {0, 2, 3}, {5}, {4, 5}, {1, 4, 5}]
 
 
 def reference_disjoint_or_hitting(dec, oracle, ell):
     """The dichotomy as first written: after each hit the scan starts over from the first node."""
     post = postorder(dec)
-    unions = subtree_bag_unions(dec)
+    unions = [set(b) for b in dec.bags]  # every subtree's union, stored
+    for x in post:
+        if dec.parent[x] >= 0:
+            unions[dec.parent[x]] |= unions[x]
     deleted, hitting, found = set(), [], []
     while True:
         hit = None
@@ -240,3 +244,27 @@ class TestSinglePass:
                     assert len(walk) <= min(dec.num_nodes, len(ref_asked))
                     restarts_saved += len(ref_asked) - len(walk)
         assert restarts_saved > 0
+
+
+class TestUnionMemory:
+    def test_wheel_restriction_in_linear_memory(self):
+        # layer 1 of a wheel restricts to a path of 2000 nodes: storing every
+        # subtree union would hold 2 M entries (87 MB traced), while streaming
+        # them holds one path's worth at a time
+        import tracemalloc
+
+        from oddcluster import heuristic_decomposition
+        from oddcluster.decomposition import restrict_decomposition
+
+        n = 2001
+        g = Graph(n, [(0, i) for i in range(1, n)] + [(i, i % (n - 1) + 1) for i in range(1, n)])
+        dec = restrict_decomposition(heuristic_decomposition(g), range(1, n))
+        assert dec.num_nodes == n
+        tracemalloc.start()
+        try:
+            out = disjoint_or_hitting(g, dec, empty_oracle, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.hitting_set == ()
+        assert peak < 5_000_000, f"peak traced memory {peak} bytes"

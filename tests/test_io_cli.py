@@ -404,6 +404,18 @@ class TestMalformedInputs:
             assert len(lines) == 1 and "resource limit:" in lines[0], argv[:2]
             assert "Traceback" not in proc.stderr and not proc.stdout, argv[:2]
 
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch, write):
+        from oddcluster import cli
+
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "parse_graph", exhausted)
+        code = main(["colour", write("g.txt", P3), "--h", "2", "--d", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == "resource limit: out of memory\n"
+
     def test_cap_is_set_by_the_option_alone(self, capsys, monkeypatch, write):
         monkeypatch.setenv("ODDCLUSTER_CAP", "abc")
         gp = write("g.txt", serialize_graph(cycle_graph(5)))

@@ -5,7 +5,12 @@ import pytest
 
 from oddcluster import Graph, RootedTree, closure, connected_tree_depth, tree_depth, u_graph
 from oddcluster.errors import ResourceLimitError
-from oddcluster.treedepth import complete_dary_tree, u_child_embedding
+from oddcluster.treedepth import (
+    _bit_components,
+    _TreeDepthSearch,
+    complete_dary_tree,
+    u_child_embedding,
+)
 from conftest import brute_tree_depth, random_small_graph
 
 
@@ -220,3 +225,89 @@ def _embed_witness(witness, d):
 
     rec(witness.roots[0], ())
     return pos
+
+
+# The witness builders and the root loop as they were before the search kept
+# its own record: forest_witness stitched each component's sub-roots below its
+# memoised root, and connected_tree_depth ran 1 + min_r td(G - r) itself.
+
+
+def reference_forest_witness(search, mask):
+    parent, roots = {}, []
+    for comp in _bit_components(search.adj, mask):
+        search.connected_value(comp)
+        root = search.memo[comp][1]
+        roots.append(root)
+        below, sub_roots = reference_forest_witness(search, comp & ~(1 << root))
+        parent.update(below)
+        parent.update(dict.fromkeys(sub_roots, root))
+    return parent, roots
+
+
+def reference_tree_depth(g):
+    search = _TreeDepthSearch(g)
+    full = (1 << g.n) - 1
+    parent, roots = reference_forest_witness(search, full)
+    return search.forest_value(full), parent, tuple(sorted(roots))
+
+
+def reference_connected_tree_depth(g):
+    search = _TreeDepthSearch(g)
+    full = (1 << g.n) - 1
+    best = best_r = None
+    for r in range(g.n):
+        val = 1 + search.forest_value(full & ~(1 << r))
+        if best is None or val < best:
+            best, best_r = val, r
+    parent, roots = reference_forest_witness(search, full & ~(1 << best_r))
+    for sub_root in roots:
+        parent[sub_root] = best_r
+    return best, parent, (best_r,)
+
+
+def reference_u_child_embedding(h, d, j):
+    """The embedding by level offsets: level l of the small tree is a block of level l+1."""
+    emb = {}
+    sub_start, big_start, size = 0, 1, 1
+    for level in range(h - 1):
+        for p in range(size):
+            emb[sub_start + p] = big_start + j * size + p
+        sub_start += size
+        big_start += size * d
+        size *= d
+    return emb
+
+
+def every_small_graph():
+    """Every graph on 1 to 5 labelled vertices, then 500 seeded random ones on 6 to 8."""
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+    rng = random.Random(83)
+    for _ in range(500):
+        yield random_small_graph(rng, 8, n_min=6)
+
+
+class TestAgainstTheRootLoop:
+    def test_values_and_witnesses(self):
+        checked = 0
+        for g in every_small_graph():
+            for search, reference in (
+                (tree_depth, reference_tree_depth),
+                (connected_tree_depth, reference_connected_tree_depth),
+            ):
+                value, witness = search(g)
+                want_value, want_parent, want_roots = reference(g)
+                assert value == want_value
+                assert list(witness.parent.items()) == list(want_parent.items())
+                assert witness.roots == want_roots
+            checked += 1
+        assert checked == 1099 + 500
+
+    def test_embeddings(self):
+        for h in range(2, 7):
+            for d in range(1, 6):
+                for j in range(d):
+                    got = u_child_embedding(h, d, j)
+                    assert list(got.items()) == list(reference_u_child_embedding(h, d, j).items())
