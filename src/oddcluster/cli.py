@@ -6,6 +6,7 @@ included), 3 certificate arm of `colour`/`pipeline`.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -198,7 +199,9 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_NOT_FOUND
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """Built once per process: a parse leaves the parser unchanged and returns a new namespace."""
     parser = _Parser(
         prog="oddcluster",
         description="Clustered colouring under excluded odd minors: metrics, "

@@ -16,7 +16,10 @@ restriction are closed under lowest common ancestors, this is the same tree
 that restricting component by component would give.  The pipeline copies a
 monochromatic component only to decompose it: the bags are mapped back to
 the host's ids and the component is coloured on the host, so colourings and
-certificates come back in host ids with nothing to relabel.
+certificates come back in host ids with nothing to relabel.  Each vertex's
+colour and scope are written once, into two maps the run owns: a level
+colours from the palette offset it is given and returns a certificate or
+None, so nothing is copied or re-offset on the way back up.
 
 Palette discipline: the palette of size f(h) = 2*(f(h-1)+1) splits into an
 even-layer and an odd-layer subpalette of size f(h-1)+1 each; within a
@@ -206,10 +209,10 @@ def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
     """
     if h < 1 or d < 1:
         raise ValueError("need h >= 1 and d >= 1")
-    out = _colour_rec(g, h, d, dec, cap, frozenset().union(*dec.bags), "")
-    if isinstance(out, OddModelCertificate):
-        return out
-    raw, scope = out
+    raw, scope = {}, {}
+    cert = _colour_rec(g, h, d, dec, cap, frozenset().union(*dec.bags), "", 0, raw, scope)
+    if cert is not None:
+        return cert
     _assert_scope_locality(g, raw, scope)
     colouring = make_colouring(g, raw, scope)
     budgets = Budgets(h=h, d=d, w=max(dec.width, 0))
@@ -236,74 +239,59 @@ def _assert_scope_locality(g, raw, scope):
                 )
 
 
-def _colour_rec(g, h, d, dec, cap, xs, prefix):
-    """Colour G[xs], a frozenset of host vertices.
+def _colour_rec(g, h, d, dec, cap, xs, prefix, base, raw, scope):
+    """Colour G[xs], a frozenset of host vertices, from palette base..base+f(h)-1.
 
-    Returns either (raw colour map, scope map) on xs in palette 0..f(h)-1,
-    or a certificate.
+    Writes each vertex's colour into ``raw`` and its scope into ``scope``,
+    the run's two maps, and returns a certificate if one is found, else None.
     """
     if h == 1:
         edge = min(((a, b) for a in xs for b in g.adj[a] & xs if a < b), default=None)
         if edge is not None:
             return _k1_certificate(d, edge)
         tag = f"{prefix}/base" if prefix else "base"
-        return dict.fromkeys(sorted(xs), 0), dict.fromkeys(sorted(xs), tag)
-
-    raw = {}
-    scope = {}
+        for v in sorted(xs):
+            raw[v] = base
+            scope[v] = tag
+        return None
     for ci, comp in enumerate(connected_components(g, xs)):
-        out = _colour_component(g, h, d, dec, cap, comp, f"{prefix}/c{ci}")
-        if isinstance(out, OddModelCertificate):
-            return out
-        raw.update(out[0])
-        scope.update(out[1])
-    return raw, scope
+        cert = _colour_component(g, h, d, dec, cap, comp, f"{prefix}/c{ci}", base, raw, scope)
+        if cert is not None:
+            return cert
+    return None
 
 
-def _colour_component(g, h, d, dec, cap, comp, prefix):
+def _colour_component(g, h, d, dec, cap, comp, prefix, base, raw, scope):
     """Colour the connected G[comp], layer by layer from its least vertex."""
     layering = bfs_layers(g, comp[0], comp)
     sub_size = colour_budget(h - 1)
-    raw = {comp[0]: 0}
-    scope = {comp[0]: f"{prefix}/L0"}
+    raw[comp[0]] = base
+    scope[comp[0]] = f"{prefix}/L0"
     pattern = None  # U_{h-1,d}, built when a layer first needs it
     for i in range(1, len(layering.layers)):
-        layer = layering.layers[i]
-        u_i = layer[0]
-        offset = 0 if i % 2 == 0 else sub_size + 1
-        hit_colour = offset + sub_size
-        region = [v for v in layer if v != u_i]
-        hit_scope = f"{prefix}/L{i}/hit"
-        if not region:
-            raw[u_i] = hit_colour
-            scope[u_i] = hit_scope
-            continue
-        dec_i = restrict_decomposition(dec, region)
-        if pattern is None:
-            pattern = u_graph(h - 1, d)
-        dich = disjoint_or_hitting(g, dec_i, _component_oracle(g, pattern, cap), d)
-        if dich.is_disjoint_arm:
-            submodels = [t.payload for t in dich.disjoint]
-            tree = layered_spanning_tree(g, layering, i, u_i)
-            return assemble_certificate(g, layering, i, u_i, tree, submodels, h, d)
-
-        hit = list(dich.hitting_set) + [u_i]
+        u_i, *region = layering.layers[i]
+        offset = base if i % 2 == 0 else base + sub_size + 1
+        hit = [u_i]
+        if region:
+            dec_i = restrict_decomposition(dec, region)
+            if pattern is None:
+                pattern = u_graph(h - 1, d)
+            dich = disjoint_or_hitting(g, dec_i, _component_oracle(g, pattern, cap), d)
+            if dich.is_disjoint_arm:
+                submodels = [t.payload for t in dich.disjoint]
+                tree = layered_spanning_tree(g, layering, i, u_i)
+                return assemble_certificate(g, layering, i, u_i, tree, submodels, h, d)
+            hit = [*dich.hitting_set, u_i]
+        tag = f"{prefix}/L{i}/hit"
         for v in hit:
-            raw[v] = hit_colour
-            scope[v] = hit_scope
-        rest = frozenset(region) - set(hit)
-        if not rest:
-            continue
-        sub = _colour_rec(g, h - 1, d, dec, cap, rest, f"{prefix}/L{i}")
-        if isinstance(sub, OddModelCertificate):
+            raw[v] = offset + sub_size
+            scope[v] = tag
+        rest = frozenset(region).difference(hit)
+        if rest and _colour_rec(g, h - 1, d, dec, cap, rest, f"{prefix}/L{i}", offset, raw, scope):
             raise InternalConsistencyError(
                 f"odd U_{{{h-1},{d}}}-model found in a region the hitting set certified clean"
             )
-        sub_raw, sub_scope = sub
-        for v, col in sub_raw.items():
-            raw[v] = offset + col
-        scope.update(sub_scope)
-    return raw, scope
+    return None
 
 
 def _component_oracle(g, pattern, cap):

@@ -28,6 +28,7 @@ from oddcluster import (
 from oddcluster import colouring
 from oddcluster.colouring import _assert_scope_locality, _component_oracle, monochromatic_components
 from oddcluster.decomposition import TreeDecomposition, decompose, trivial_decomposition
+from oddcluster.eposa import Dichotomy
 from oddcluster.errors import InternalConsistencyError, ResourceLimitError
 from oddcluster.generators import (
     complete_graph,
@@ -455,6 +456,14 @@ class TestPostconditions:
         with pytest.raises(InternalConsistencyError, match="cluster of"):
             colour_bounded_tw(g, 2, 2, decompose(g))
 
+    def test_model_in_a_region_certified_clean(self, monkeypatch):
+        # a dichotomy that hits nothing leaves layer 1 of the wheel, a path
+        # on the rim, to the h-1 recursion, which finds an edge in it
+        monkeypatch.setattr(colouring, "disjoint_or_hitting", lambda *args: Dichotomy(hitting_set=()))
+        g = Graph(8, [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)])
+        with pytest.raises(InternalConsistencyError, match="certified clean"):
+            colour_bounded_tw(g, 2, 2, decompose(g))
+
 
 class TestHostIdDecomposition:
     """A host-id decomposition of G[xs] colours xs as the relabelled copy G[xs] does."""
@@ -511,3 +520,134 @@ class TestNoCyclicGarbage:
         g = random_partial_ktree(16, 3, 1)
         assert not isinstance(colour_bounded_tw(g, 3, 2, decompose(g)), OddModelCertificate)
         assert gc.collect() == 0
+
+
+def reference_colour_bounded_tw(g, h, d, dec, cap=colouring.FIND_MODEL_CAP):
+    """The recursion in which each level returns a (raw, scope) pair or a certificate.
+
+    Each level copies its sub-results into new maps and re-offsets the
+    colours of every layer, so this is the straightforward form the
+    run-owned maps of ``colour_bounded_tw`` must agree with.
+    """
+    out = _reference_rec(g, h, d, dec, cap, frozenset().union(*dec.bags), "")
+    if isinstance(out, OddModelCertificate):
+        return out
+    raw, scope = out
+    _assert_scope_locality(g, raw, scope)
+    result = colouring.make_colouring(g, raw, scope)
+    budgets = Budgets(h=h, d=d, w=max(dec.width, 0))
+    if result.num_colours > budgets.colours or result.max_cluster > budgets.clustering:
+        raise InternalConsistencyError("over budget")
+    return result
+
+
+def _reference_rec(g, h, d, dec, cap, xs, prefix):
+    if h == 1:
+        edge = min(((a, b) for a in xs for b in g.adj[a] & xs if a < b), default=None)
+        if edge is not None:
+            return colouring._k1_certificate(d, edge)
+        tag = f"{prefix}/base" if prefix else "base"
+        return dict.fromkeys(sorted(xs), 0), dict.fromkeys(sorted(xs), tag)
+    raw = {}
+    scope = {}
+    for ci, comp in enumerate(colouring.connected_components(g, xs)):
+        out = _reference_component(g, h, d, dec, cap, comp, f"{prefix}/c{ci}")
+        if isinstance(out, OddModelCertificate):
+            return out
+        raw.update(out[0])
+        scope.update(out[1])
+    return raw, scope
+
+
+def _reference_component(g, h, d, dec, cap, comp, prefix):
+    layering = colouring.bfs_layers(g, comp[0], comp)
+    sub_size = colour_budget(h - 1)
+    raw = {comp[0]: 0}
+    scope = {comp[0]: f"{prefix}/L0"}
+    pattern = u_graph(h - 1, d)
+    for i in range(1, len(layering.layers)):
+        layer = layering.layers[i]
+        u_i = layer[0]
+        offset = 0 if i % 2 == 0 else sub_size + 1
+        hit_colour = offset + sub_size
+        region = [v for v in layer if v != u_i]
+        hit_scope = f"{prefix}/L{i}/hit"
+        if not region:
+            raw[u_i] = hit_colour
+            scope[u_i] = hit_scope
+            continue
+        dec_i = colouring.restrict_decomposition(dec, region)
+        oracle = _component_oracle(g, pattern, cap)
+        dich = colouring.disjoint_or_hitting(g, dec_i, oracle, d)
+        if dich.is_disjoint_arm:
+            submodels = [t.payload for t in dich.disjoint]
+            tree = layered_spanning_tree(g, layering, i, u_i)
+            return assemble_certificate(g, layering, i, u_i, tree, submodels, h, d)
+        hit = list(dich.hitting_set) + [u_i]
+        for v in hit:
+            raw[v] = hit_colour
+            scope[v] = hit_scope
+        rest = frozenset(region) - set(hit)
+        if not rest:
+            continue
+        sub = _reference_rec(g, h - 1, d, dec, cap, rest, f"{prefix}/L{i}")
+        if isinstance(sub, OddModelCertificate):
+            raise InternalConsistencyError("model in a region certified clean")
+        sub_raw, sub_scope = sub
+        for v, col in sub_raw.items():
+            raw[v] = offset + col
+        scope.update(sub_scope)
+    return raw, scope
+
+
+def _outcome(run, g, h, d, dec, cap):
+    try:
+        return run(g, h, d, dec, cap)
+    except (InternalConsistencyError, ResourceLimitError) as exc:
+        return type(exc)
+
+
+class TestAgainstThePairReturningRecursion:
+    """The run-owned colour maps give what copying (raw, scope) pairs up each level gives."""
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(83)
+        for seed in range(200):
+            yield random_partial_ktree(rng.randint(1, 40), rng.randint(1, 3), seed)
+        for n in (3, 4, 5, 9, 17, 30):
+            yield cycle_graph(n)
+        for length in (1, 2, 5, 12, 25):
+            yield ladder(length)
+
+    def test_same_colouring_certificate_or_error(self, monkeypatch):
+        # A small cap on every 7th graph reaches ResourceLimitError; a
+        # dichotomy that hits nothing on every 11th reaches the h-1 check.
+        clean = Dichotomy(hitting_set=())
+        arms = set()
+        for gi, g in enumerate(self.graphs()):
+            dec = decompose(g)
+            cap = 4 if gi % 7 == 0 else colouring.FIND_MODEL_CAP
+            with monkeypatch.context() as patch:
+                if gi % 11 == 5:
+                    patch.setattr(colouring, "disjoint_or_hitting", lambda *args: clean)
+                for h in (1, 2, 3):
+                    for d in (1, 2, 3):
+                        want = _outcome(reference_colour_bounded_tw, g, h, d, dec, cap)
+                        got = _outcome(colour_bounded_tw, g, h, d, dec, cap)
+                        arms.add(want.__name__ if isinstance(want, type) else type(want).__name__)
+                        assert_same_outcome(got, want)
+        assert arms == {"Colouring", "OddModelCertificate", "InternalConsistencyError", "ResourceLimitError"}
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+    elif isinstance(want, OddModelCertificate):
+        assert isinstance(got, OddModelCertificate)
+        assert (got.h, got.d, got.model, got.witness) == (want.h, want.d, want.model, want.witness)
+    else:
+        assert isinstance(got, type(want))
+        assert list(got.colour.items()) == list(want.colour.items())
+        assert list(got.scope.items()) == list(want.scope.items())
+        assert (got.num_colours, got.max_cluster) == (want.num_colours, want.max_cluster)

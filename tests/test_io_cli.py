@@ -16,7 +16,7 @@ from oddcluster import (
     verify_model,
     verify_odd_witness,
 )
-from oddcluster.cli import main
+from oddcluster.cli import build_parser, main
 from oddcluster.colouring import OddModelCertificate
 from oddcluster.errors import ParseError
 from oddcluster.generators import cycle_graph, random_graph
@@ -235,9 +235,17 @@ class TestCli:
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["max_cluster"] <= 2
 
+    def test_parser_is_built_once(self, capsys):
+        assert build_parser() is build_parser()
+        first = build_parser().parse_args(["metric", "ctd", "g.txt"])
+        second = build_parser().parse_args(["metric", "tw", "h.txt"])
+        assert first is not second
+        assert (first.metric, first.graph) == ("ctd", "g.txt")
+        assert run_cli(capsys, ["gen", "u", "--h", "1", "--d", "1"])[0] == 0
 
 
-P3 = "p 3 2\n0 1\n1 2\n"
+
+P3 ="p 3 2\n0 1\n1 2\n"
 
 
 def cert_json(**changes):
