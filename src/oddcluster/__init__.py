@@ -19,7 +19,6 @@ from .graph import (
     bfs_layers,
     connected_components,
     induced_subgraph,
-    is_bipartite,
     layered_spanning_tree,
 )
 from .treedepth import (

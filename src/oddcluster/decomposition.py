@@ -340,11 +340,6 @@ def restrict_decomposition(dec, xs):
     return TreeDecomposition(new_parent, bags)
 
 
-def trivial_decomposition(g):
-    """Single bag holding all of V(G)."""
-    return TreeDecomposition((-1,), [tuple(range(g.n))])
-
-
 def subtree_bag_unions(dec, order):
     """Yield the union of the bags in each node's subtree, along the post-order ``order``.
 

@@ -1,4 +1,4 @@
-"""Graph families and seeded random generators used by the CLI and tests."""
+"""Graph families and seeded random generators used by the CLI."""
 
 import random
 from itertools import combinations
@@ -12,10 +12,6 @@ def cycle_graph(n):
     return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
-def path_graph(n):
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def complete_graph(n):
     check_graph_size(n, n * (n - 1) // 2)
     return Graph(n, combinations(range(n), 2))
@@ -26,22 +22,6 @@ def star_graph(n):
     if n < 1:
         raise ValueError("star needs at least 1 vertex")
     return Graph(n, ((0, i) for i in range(1, n)))
-
-
-def empty_graph(n):
-    return Graph(n, [])
-
-
-def random_tree(n, seed):
-    rng = random.Random(seed)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    return Graph(n, edges)
-
-
-def random_graph(n, p, seed):
-    rng = random.Random(seed)
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return Graph(n, edges)
 
 
 def random_partial_ktree(n, k, seed, edge_keep=0.8):

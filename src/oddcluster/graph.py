@@ -114,14 +114,6 @@ class RootedTree:
     def edges(self):
         return sorted((min(c, p), max(c, p)) for c, p in self.parent.items())
 
-    def children(self):
-        ch = {v: [] for v in self.vertices()}
-        for c, p in self.parent.items():
-            ch[p].append(c)
-        for v in ch:
-            ch[v].sort()
-        return ch
-
     def depth(self, v):
         """Number of edges from v to its root."""
         d = 0
@@ -189,46 +181,6 @@ def layered_spanning_tree(g, layering, i, u_i):
             parent[v] = min(g.adj[v] & below)
     parent[u_i] = min(g.adj[u_i] & set(layering.layers[i - 1]))
     return RootedTree(parent=parent, roots=(layering.root,))
-
-
-def is_bipartite(g):
-    """Try to properly 2-colour g.
-
-    Returns ``(colouring, None)`` on success, or ``(None, cycle)`` where
-    ``cycle`` is a vertex sequence of an odd cycle in g, extracted from the
-    first parity conflict met by BFS.
-    """
-    colour = {}
-    for s in range(g.n):
-        if s in colour:
-            continue
-        tree = bfs_tree(g.adj, s)
-        colour[s] = 0
-        for v, p in tree.items():
-            colour[v] = 1 - colour[p]
-        # colours never change once given, so the first same-colour edge in
-        # BFS order is the conflict an interleaved BFS would meet first
-        for v in (s, *tree):
-            for u in sorted(g.adj[v]):
-                if colour[u] == colour[v]:
-                    return None, _conflict_cycle(tree, v, u)
-    return colour, None
-
-
-def _conflict_cycle(parent, v, u):
-    """Odd cycle through the BFS-tree paths of a same-colour edge vu."""
-    pv = [v]
-    while pv[-1] in parent:
-        pv.append(parent[pv[-1]])
-    pu = [u]
-    while pu[-1] in parent:
-        pu.append(parent[pu[-1]])
-    on_pv = set(pv)
-    k = next(i for i, x in enumerate(pu) if x in on_pv)
-    lca = pu[k]
-    left = pv[: pv.index(lca) + 1]
-    right = pu[:k]
-    return left + list(reversed(right))
 
 
 def induced_subgraph(g, xs):

@@ -1,13 +1,17 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles and fixtures for the test suite.
 
-These are intentionally written from the definitions, without reusing the
-library's optimized code paths, so the two can falsify each other.
+The oracles are intentionally written from the definitions, without reusing
+the library's optimized code paths, so the two can falsify each other.  The
+helpers at the end (bipartiteness with odd-cycle extraction, the single-bag
+decomposition, small graph families and a forest's children lists) are used
+only by the tests, so they live here rather than in the library.
 """
 
 import random
 from itertools import combinations, permutations
 
 from oddcluster import Graph, TreeDecomposition
+from oddcluster.graph import bfs_tree
 
 
 def random_small_graph(rng, n_max, n_min=1):
@@ -120,3 +124,78 @@ def renumbered(dec, index_map):
     """``dec`` with host ids renumbered by an ``induced_subgraph`` index map (new -> old)."""
     pos = {v: i for i, v in enumerate(index_map)}
     return TreeDecomposition(dec.parent, [[pos[v] for v in bag] for bag in dec.bags])
+
+
+def is_bipartite(g):
+    """Try to properly 2-colour g.
+
+    Returns ``(colouring, None)`` on success, or ``(None, cycle)`` where
+    ``cycle`` is a vertex sequence of an odd cycle in g, extracted from the
+    first parity conflict met by BFS.
+    """
+    colour = {}
+    for s in range(g.n):
+        if s in colour:
+            continue
+        tree = bfs_tree(g.adj, s)
+        colour[s] = 0
+        for v, p in tree.items():
+            colour[v] = 1 - colour[p]
+        # colours never change once given, so the first same-colour edge in
+        # BFS order is the conflict an interleaved BFS would meet first
+        for v in (s, *tree):
+            for u in sorted(g.adj[v]):
+                if colour[u] == colour[v]:
+                    return None, _conflict_cycle(tree, v, u)
+    return colour, None
+
+
+def _conflict_cycle(parent, v, u):
+    """Odd cycle through the BFS-tree paths of a same-colour edge vu."""
+    pv = [v]
+    while pv[-1] in parent:
+        pv.append(parent[pv[-1]])
+    pu = [u]
+    while pu[-1] in parent:
+        pu.append(parent[pu[-1]])
+    on_pv = set(pv)
+    k = next(i for i, x in enumerate(pu) if x in on_pv)
+    lca = pu[k]
+    left = pv[: pv.index(lca) + 1]
+    right = pu[:k]
+    return left + list(reversed(right))
+
+
+def trivial_decomposition(g):
+    """Single bag holding all of V(G)."""
+    return TreeDecomposition((-1,), [tuple(range(g.n))])
+
+
+def path_graph(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def empty_graph(n):
+    return Graph(n, [])
+
+
+def random_tree(n, seed):
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    return Graph(n, edges)
+
+
+def random_graph(n, p, seed):
+    rng = random.Random(seed)
+    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+    return Graph(n, edges)
+
+
+def tree_children(tree):
+    """Sorted children lists ``{v: [c, ...]}`` of a ``RootedTree``, one per vertex."""
+    ch = {v: [] for v in tree.vertices()}
+    for c, p in tree.parent.items():
+        ch[p].append(c)
+    for v in ch:
+        ch[v].sort()
+    return ch

@@ -20,7 +20,6 @@ from oddcluster import (
     find_odd_model,
     heuristic_decomposition,
     induced_subgraph,
-    is_bipartite,
     is_nontrivial,
     odd_minor_oracle,
     tree_depth,
@@ -30,20 +29,21 @@ from oddcluster import (
     verify_odd_witness,
 )
 from oddcluster.colouring import OddModelCertificate
-from oddcluster.decomposition import trivial_decomposition
 from oddcluster.eposa import Target
 from oddcluster.generators import (
     complete_graph,
     cycle_graph,
-    path_graph,
     random_partial_ktree,
-    random_tree,
 )
 from conftest import (
     brute_tree_depth,
     brute_treewidth,
+    is_bipartite,
+    path_graph,
     random_small_graph,
+    random_tree,
     triangles_of,
+    trivial_decomposition,
 )
 
 K2 = Graph(2, [(0, 1)])

@@ -27,19 +27,17 @@ from oddcluster import (
 )
 from oddcluster import colouring
 from oddcluster.colouring import _assert_scope_locality, _component_oracle, monochromatic_components
-from oddcluster.decomposition import TreeDecomposition, decompose, trivial_decomposition
+from oddcluster.decomposition import TreeDecomposition, decompose
 from oddcluster.eposa import Dichotomy
 from oddcluster.errors import InternalConsistencyError, ResourceLimitError
 from oddcluster.generators import (
     complete_graph,
     cycle_graph,
-    empty_graph,
-    path_graph,
     random_partial_ktree,
-    random_tree,
     star_graph,
 )
 from oddcluster.graph import reach
+from conftest import empty_graph, path_graph, random_tree, trivial_decomposition
 
 
 def check_certificate(g, cert):

@@ -16,11 +16,18 @@ from oddcluster.decomposition import (
     postorder,
     restrict_decomposition,
     subtree_bag_unions,
-    trivial_decomposition,
 )
 from oddcluster.errors import ResourceLimitError
-from oddcluster.generators import complete_graph, cycle_graph, random_tree, star_graph
-from conftest import brute_treewidth, random_small_graph, renumbered
+from oddcluster.generators import complete_graph, cycle_graph, star_graph
+from conftest import (
+    brute_treewidth,
+    random_graph,
+    random_small_graph,
+    random_tree,
+    renumbered,
+    tree_children,
+    trivial_decomposition,
+)
 
 
 class TestValidate:
@@ -413,7 +420,7 @@ def reference_exact_treewidth(g):
 
 def differential_graphs():
     """Tier-1 fixtures, 1000 seeded random graphs of at most 40 vertices, and hubs."""
-    from oddcluster.generators import random_graph, random_partial_ktree
+    from oddcluster.generators import random_partial_ktree
 
     _, graphs = TestPreorderAgainstTraceIndex().fixtures()
     rng = random.Random(41)
@@ -456,7 +463,7 @@ class TestAgainstReferences:
         # the order is the reach-through game's, and each recorded bag is the
         # replay's, so the tree built from them is the replayed one
         from oddcluster.decomposition import _eliminate, _find_order_within, _tree_from_bags
-        from oddcluster.generators import random_graph, random_partial_ktree
+        from oddcluster.generators import random_partial_ktree
 
         rng = random.Random(53)
         graphs = [cycle_graph(6), complete_graph(5), Graph(4)]
@@ -502,7 +509,7 @@ class TestAgainstReferences:
 
 # The trace-index representation as first written: a RootedTree over BFS
 # node ids, restriction through pre-order entry/exit times, and post-order
-# from the tree's children() lists.  The parent-array code must reproduce it.
+# from the tree's children lists.  The parent-array code must reproduce it.
 
 
 def reference_from_order(g, order):
@@ -526,7 +533,7 @@ def reference_from_order(g, order):
 
 def reference_normalize(tree, bags):
     """Re-root at node 0 by a BFS renumbering, children by minimum bag element."""
-    children = tree.children()
+    children = tree_children(tree)
     root = tree.roots[0]
     new_id = {root: 0}
     order = [root]
@@ -540,7 +547,7 @@ def reference_normalize(tree, bags):
 
 def reference_restrict(tree, bags, xs):
     """Restriction through a trace index: pre-order entry/exit times, parents, vertex -> nodes."""
-    children = tree.children()
+    children = tree_children(tree)
     n = len(bags)
     order = []
     stack = list(reversed(tree.roots))
@@ -592,8 +599,8 @@ def reference_restrict(tree, bags, xs):
 
 
 def reference_postorder(tree):
-    """Post-order from the children() lists, roots and children in index order."""
-    children = tree.children()
+    """Post-order from the children lists, roots and children in index order."""
+    children = tree_children(tree)
     out = []
     stack = list(tree.roots)
     while stack:
@@ -709,7 +716,7 @@ class TestPreorderAgainstTraceIndex:
             parent = {ids[i]: ids[rng.randrange(i)] for i in range(len(roots), n)}
             tree = RootedTree(parent=parent, roots=roots)
             bags = [tuple(sorted(rng.sample(range(12), rng.randint(0, 4)))) for _ in range(n)]
-            dec = preorder_decomposition(tree.children(), roots, bags)
+            dec = preorder_decomposition(tree_children(tree), roots, bags)
             domains = [rng.sample(range(12), rng.randint(0, 12)) for _ in range(6)]
             assert_same_restrictions(dec, tree, bags, domains)
 
@@ -734,7 +741,7 @@ class TestPreorderAgainstTraceIndex:
             roots = [x for x in range(n) if parent[x] < 0]
             tree = RootedTree({x: p for x, p in enumerate(parent) if p >= 0}, roots)
             # in pre-order iff renumbering in pre-order, children by id, changes no id
-            ids = preorder_decomposition(tree.children(), tree.roots, [(x,) for x in range(n)]).bags
+            ids = preorder_decomposition(tree_children(tree), tree.roots, [(x,) for x in range(n)]).bags
             in_preorder = ids == tuple((x,) for x in range(n))
             try:
                 dec = TreeDecomposition(parent, [()] * n)

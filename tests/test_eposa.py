@@ -9,11 +9,17 @@ from oddcluster import (
     exact_treewidth,
     validate_decomposition,
 )
-from oddcluster.decomposition import postorder, subtree_bag_unions, trivial_decomposition
+from oddcluster.decomposition import postorder, subtree_bag_unions
 from oddcluster.eposa import Dichotomy, Target
 from oddcluster.errors import InternalConsistencyError
 from oddcluster.generators import complete_graph
-from conftest import max_disjoint_triangles, random_small_graph, renumbered, triangles_of
+from conftest import (
+    max_disjoint_triangles,
+    random_small_graph,
+    renumbered,
+    triangles_of,
+    trivial_decomposition,
+)
 
 
 def triangle_oracle(g):

@@ -10,14 +10,19 @@ from oddcluster import (
     bfs_layers,
     connected_components,
     induced_subgraph,
-    is_bipartite,
     layered_spanning_tree,
 )
 from oddcluster.colouring import monochromatic_components
 from oddcluster import graph as graph_module
 from oddcluster.errors import ResourceLimitError
-from oddcluster.graph import _conflict_cycle, bfs_tree, reach
-from conftest import all_two_colourings_proper, check_layered_tree, random_small_graph
+from oddcluster.graph import bfs_tree, reach
+from conftest import (
+    _conflict_cycle,
+    all_two_colourings_proper,
+    check_layered_tree,
+    is_bipartite,
+    random_small_graph,
+)
 
 
 def path(n):

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +22,7 @@ from oddcluster import (
 from oddcluster.cli import build_parser, main
 from oddcluster.colouring import OddModelCertificate
 from oddcluster.errors import ParseError
-from oddcluster.generators import cycle_graph, random_graph
+from oddcluster.generators import cycle_graph
 from oddcluster.io import (
     certificate_from_json,
     certificate_to_json,
@@ -30,6 +33,7 @@ from oddcluster.io import (
     parse_partition,
     serialize_graph,
 )
+from conftest import random_graph
 
 
 class TestGraphFormat:
@@ -242,6 +246,33 @@ class TestCli:
         assert first is not second
         assert (first.metric, first.graph) == ("ctd", "g.txt")
         assert run_cli(capsys, ["gen", "u", "--h", "1", "--d", "1"])[0] == 0
+
+    def test_readme_walkthrough_runs_as_written(self, capsys, monkeypatch, tmp_path):
+        # every line of README's CLI block, top to bottom in an empty directory:
+        # `oddcluster` lines through main with stdout sent to the file after `>`,
+        # the rest through the shell; each exits 0 or with its `# exit N` note
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        ran = 0
+        for line in block.splitlines():
+            if not line.strip() or line.startswith("#"):
+                continue
+            note = re.search(r"# exit (\d+)$", line)
+            want = int(note.group(1)) if note else 0
+            words = shlex.split(line, comments=True)
+            if words[0] == "oddcluster":
+                argv, out = words[1:], None
+                if ">" in argv:
+                    argv, out = argv[: argv.index(">")], argv[argv.index(">") + 1]
+                code, text = run_cli(capsys, argv)
+                if out is not None:
+                    Path(out).write_text(text)
+                ran += 1
+            else:
+                code = subprocess.run(line, shell=True).returncode
+            assert code == want, line
+        assert ran >= 15
 
 
 

@@ -6,7 +6,6 @@ import pytest
 from oddcluster import (
     Graph,
     find_odd_model,
-    is_bipartite,
     is_nontrivial,
     odd_minor_oracle,
     parity_realizable,
@@ -24,8 +23,8 @@ from oddcluster.oddmodel import (
     joining_edges,
 )
 from oddcluster.oracles import _spanning_trees, _tree_two_colourings
-from oddcluster.generators import complete_graph, cycle_graph, path_graph, star_graph
-from conftest import random_small_graph
+from oddcluster.generators import complete_graph, cycle_graph, star_graph
+from conftest import is_bipartite, path_graph, random_small_graph
 
 K1 = Graph(1)
 K2 = Graph(2, [(0, 1)])

@@ -15,8 +15,8 @@ from oddcluster import (
 from oddcluster import oracles
 from oddcluster.colouring import monochromatic_components
 from oddcluster.errors import ResourceLimitError
-from oddcluster.generators import complete_graph, cycle_graph, path_graph, star_graph
-from conftest import all_two_colourings_proper, random_small_graph
+from oddcluster.generators import complete_graph, cycle_graph, star_graph
+from conftest import all_two_colourings_proper, path_graph, random_small_graph
 
 K2 = Graph(2, [(0, 1)])
 K3 = complete_graph(3)

@@ -11,7 +11,7 @@ from oddcluster.treedepth import (
     complete_dary_tree,
     u_child_embedding,
 )
-from conftest import brute_tree_depth, random_small_graph
+from conftest import brute_tree_depth, random_small_graph, tree_children
 
 
 def rooted_path(n):
@@ -214,7 +214,7 @@ class TestUniversalEmbedding:
 
 def _embed_witness(witness, d):
     """Map each witness vertex to its path of child slots in the d-ary tree."""
-    children = witness.children()
+    children = tree_children(witness)
     pos = {}
 
     def rec(v, path):
