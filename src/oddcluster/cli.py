@@ -77,6 +77,18 @@ def _int_in(lo, hi=None):
     return integer
 
 
+def _float_in(lo, hi):
+    """An argparse type: a number in [lo, hi]; nan and the infinities fall outside."""
+
+    def number(text):
+        value = float(text)  # argparse reports a ValueError as "invalid number value"
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"expected a number in [{lo}, {hi}], got {value}")
+        return value
+
+    return number
+
+
 def _read(path):
     if path == "-":
         return sys.stdin.read()
@@ -224,7 +236,7 @@ def build_parser():
     pk.add_argument("--n", type=_int_in(1, MAX_VERTICES), required=True)
     pk.add_argument("--k", type=_int_in(0), required=True)
     pk.add_argument("--seed", type=int, required=True)
-    pk.add_argument("--edge-keep", type=float, default=0.8)
+    pk.add_argument("--edge-keep", type=_float_in(0, 1), default=0.8)
     for fam, least in (("cycle", 3), ("complete", 0), ("star", 1)):
         pf = gensub.add_parser(fam)
         pf.add_argument("--n", type=_int_in(least, MAX_VERTICES), required=True)

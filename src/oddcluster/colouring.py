@@ -6,20 +6,28 @@ verified non-trivial odd U_{h,d}-model certificate.  The recursion works
 layer by layer: each BFS layer either yields d disjoint non-trivial odd
 U_{h-1,d}-models (assembled with a layered spanning tree into a U_{h,d}
 certificate) or a small hitting set, after which the layer minus the
-hitting set is coloured recursively at h-1.
+hitting set is coloured recursively at h-1.  A layer whose region (the
+layer minus its least vertex u_i) has fewer than 2|V(U_{h-1,d})| vertices
+skips the decomposition restriction and the dichotomy: a non-trivial model
+puts at least 2 vertices in each branch set, so no subset of the region
+holds one, the oracle would answer None everywhere and the hitting set
+would come out empty.  Skipping it is exact; only u_i is hit.  U_{h-1,d}
+is built when a layer first has a non-empty region, so a run whose
+regions are all empty never builds it.
 
 The whole recursion runs on the input graph and decomposition: a
 sub-problem (a component, a layer's region, what the hitting set leaves) is
-a vertex set of the input, never a relabelled copy.  Each layer restricts
-the input decomposition once, to its region; since the kept nodes of a
-restriction are closed under lowest common ancestors, this is the same tree
-that restricting component by component would give.  The pipeline copies a
-monochromatic component only to decompose it: the bags are mapped back to
-the host's ids and the component is coloured on the host, so colourings and
-certificates come back in host ids with nothing to relabel.  Each vertex's
-colour and scope are written once, into two maps the run owns: a level
-colours from the palette offset it is given and returns a certificate or
-None, so nothing is copied or re-offset on the way back up.
+a vertex set of the input, never a relabelled copy.  Each layer that runs
+the dichotomy restricts the input decomposition once, to its region; since
+the kept nodes of a restriction are closed under lowest common ancestors,
+this is the same tree that restricting component by component would give.
+The pipeline copies a monochromatic component only to decompose it: the
+bags are mapped back to the host's ids and the component is coloured on the
+host, so colourings and certificates come back in host ids with nothing to
+relabel.  Each vertex's colour and scope are written once, into two maps
+the run owns: a level colours from the palette offset it is given and
+returns a certificate or None, so nothing is copied or re-offset on the way
+back up.
 
 Palette discipline: the palette of size f(h) = 2*(f(h-1)+1) splits into an
 even-layer and an odd-layer subpalette of size f(h-1)+1 each; within a
@@ -272,10 +280,12 @@ def _colour_component(g, h, d, dec, cap, comp, prefix, base, raw, scope):
         u_i, *region = layering.layers[i]
         offset = base if i % 2 == 0 else base + sub_size + 1
         hit = [u_i]
-        if region:
+        if region and pattern is None:
+            pattern = u_graph(h - 1, d)
+        # a region of fewer than 2|V(U)| vertices holds no non-trivial model:
+        # the dichotomy would find none and hit nothing, so it is not run
+        if region and len(region) >= 2 * pattern.n:
             dec_i = restrict_decomposition(dec, region)
-            if pattern is None:
-                pattern = u_graph(h - 1, d)
             dich = disjoint_or_hitting(g, dec_i, _component_oracle(g, pattern, cap), d)
             if dich.is_disjoint_arm:
                 submodels = [t.payload for t in dich.disjoint]
@@ -306,7 +316,10 @@ def _component_oracle(g, pattern, cap):
     keyed by their vertex sets.  Pattern vertex 0, the root of U, is placed
     first and every other pattern vertex is adjacent to it; so the
     whole-region search returns, among the components' models, the one
-    whose root branch set has the least minimum vertex.
+    whose root branch set has the least minimum vertex.  The colouring
+    does not build this oracle for a layer region below 2|V(U)| vertices:
+    every component of every region asked would be skipped by the size
+    test above, so the answer would be None throughout.
     """
     memo = {}
 

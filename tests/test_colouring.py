@@ -327,6 +327,41 @@ class TestRegionsWithoutRoomForAModel:
         assert ok, why
 
 
+class TestLayerSizeSkip:
+    """A layer region below 2|V(U_{h-1,d})| vertices skips the dichotomy; one at that size does not."""
+
+    def test_region_of_exactly_twice_the_pattern_certifies(self):
+        # hub 0 over 1..5 with the path 2-3-4-5: layer 1's region {2,3,4,5}
+        # has 2|V(U_{2,1})| = 4 vertices and holds the odd K2-model (2,3)-(4,5)
+        g = Graph(6, [(0, v) for v in range(1, 6)] + [(2, 3), (3, 4), (4, 5)])
+        out = colour_bounded_tw(g, 3, 1, decompose(g))
+        assert isinstance(out, OddModelCertificate)
+        check_certificate(g, out)
+        assert out.model.branch_sets == {0: (0, 1), 1: (2, 3), 2: (4, 5)}
+
+    def test_k4_certifies(self):
+        # layer 1's region {2,3} has 2|V(U_{1,1})| = 2 vertices and holds an edge
+        g = complete_graph(4)
+        out = colour_bounded_tw(g, 2, 1, decompose(g))
+        assert isinstance(out, OddModelCertificate)
+        assert (out.h, out.d) == (2, 1)
+        check_certificate(g, out)
+
+    def test_small_regions_neither_restrict_nor_run_the_dichotomy(self, monkeypatch):
+        # every layer of C_200 from vertex 0 leaves a region of at most one vertex
+        def refuse(*args, **kwargs):
+            raise AssertionError("a region too small for a non-trivial model reached the dichotomy")
+
+        monkeypatch.setattr(colouring, "restrict_decomposition", refuse)
+        monkeypatch.setattr(colouring, "disjoint_or_hitting", refuse)
+        g = cycle_graph(200)
+        dec = decompose(g)
+        out = colour_bounded_tw(g, 2, 2, dec)
+        assert not isinstance(out, OddModelCertificate)
+        ok, why = verify_colouring(g, out, colour_budget(2), clustering_budget(2, dec.width))
+        assert ok, why
+
+
 class TestComponentOracle:
     """The layer oracle searches component by component, with the cap per component."""
 
@@ -360,7 +395,9 @@ class TestComponentOracle:
         assert found > 100 and several > 20
 
     def test_colouring_regions_agree_with_whole_region_search(self, monkeypatch):
-        # the regions the dichotomy asks about while colouring small-search-like inputs
+        # the regions the dichotomy asks about while colouring small-search-like
+        # inputs; a layer region too small to hold a non-trivial model asks
+        # nothing, so the regions large enough to hold one get their own floor
         asked = []
 
         def recording(g, pattern, cap):
@@ -375,19 +412,20 @@ class TestComponentOracle:
 
         monkeypatch.setattr(colouring, "_component_oracle", recording)
         rng = random.Random(14)
-        for _ in range(8):
+        for _ in range(12):
             n = rng.randint(16, 30)
             k, seed, keep = rng.choice((3, 4)), rng.randrange(2**31), rng.uniform(0.8, 0.9)
             g = random_partial_ktree(n, k, seed, edge_keep=keep)
             colour_bounded_tw(g, 3, rng.choice((2, 3)), decompose(g))
-        checked = 0
+        checked = large = 0
         for g, pattern, regions in asked:
             oracle = _component_oracle(g, pattern, 24)
             for region in regions:
                 if len(region) <= 24:
                     self.assert_same_as_whole_region(oracle, g, pattern, region)
                     checked += 1
-        assert checked > 300
+                    large += len(region) >= 2 * pattern.n
+        assert checked > 300 and large > 100
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_partial_2trees_with_layers_over_the_cap(self, seed):

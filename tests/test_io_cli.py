@@ -22,7 +22,7 @@ from oddcluster import (
 from oddcluster.cli import build_parser, main
 from oddcluster.colouring import OddModelCertificate
 from oddcluster.errors import ParseError
-from oddcluster.generators import cycle_graph
+from oddcluster.generators import cycle_graph, random_partial_ktree
 from oddcluster.io import (
     certificate_from_json,
     certificate_to_json,
@@ -129,6 +129,14 @@ class TestCli:
         )
         assert code == 0 and parse_graph(out).n == 10
 
+    @pytest.mark.parametrize("keep", ["0", "0.35", "0.8", "1"])
+    def test_gen_partial_ktree_edge_keep(self, capsys, keep):
+        code, out = run_cli(
+            capsys, ["gen", "partial-ktree", "--n", "30", "--k", "3", "--seed", "5", "--edge-keep", keep]
+        )
+        assert code == 0
+        assert out == serialize_graph(random_partial_ktree(30, 3, 5, edge_keep=float(keep)))
+
     def test_metric_ctd(self, capsys, write):
         path = write("g.txt", serialize_graph(cycle_graph(4)))
         code, out = run_cli(capsys, ["metric", "ctd", path])
@@ -203,6 +211,19 @@ class TestCli:
         code, out = run_cli(capsys, ["pipeline", gp, hp])
         assert code == 3
         assert json.loads(out)["h"] >= 1
+
+    def test_colour_builds_the_pattern_only_for_a_nonempty_layer_region(self, capsys, write):
+        # U_{13,2} is over the pattern size cap: a 6-vertex path, whose layer
+        # regions are all empty, never builds it, while C_5's layer 1 does
+        path = write("p6.txt", "p 6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+        code, out = run_cli(capsys, ["colour", path, "--h", "14", "--d", "2"])
+        assert code == 0 and json.loads(out)["num_colours"] >= 1
+        c5 = write("c5.txt", serialize_graph(cycle_graph(5)))
+        code = main(["colour", c5, "--h", "14", "--d", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("resource limit:")
 
     def test_parse_error_exit_code(self, capsys, write):
         gp = write("g.txt", "not a graph\n")
@@ -415,6 +436,9 @@ class TestMalformedInputs:
             ["gen", "cycle", "--n", "2"],
             ["gen", "u", "--h", "0", "--d", "2"],
             ["gen", "partial-ktree", "--n", "0", "--k", "2", "--seed", "1"],
+            ["gen", "partial-ktree", "--n", "5", "--k", "2", "--seed", "1", "--edge-keep", "nan"],
+            ["gen", "partial-ktree", "--n", "5", "--k", "2", "--seed", "1", "--edge-keep", "-1"],
+            ["gen", "partial-ktree", "--n", "5", "--k", "2", "--seed", "1", "--edge-keep", "7"],
             ["gen", "star", "--n", "0"],
             ["metric", "ctd", "empty.txt"],
             ["pipeline", "g.txt", "empty.txt"],
