@@ -18,6 +18,7 @@ from .colouring import (
     colour_bounded_tw,
     colour_pipeline,
     make_colouring,
+    verify_certificate,
 )
 from .decomposition import EXACT_TREEWIDTH_CAP, decompose, exact_treewidth, validate_decomposition
 from .errors import OddClusterError, ParseError, ResourceLimitError
@@ -42,7 +43,7 @@ from .io import (
     parse_partition,
     serialize_graph,
 )
-from .oddmodel import FIND_MODEL_CAP, find_odd_model, is_nontrivial, verify_model, verify_odd_witness
+from .oddmodel import FIND_MODEL_CAP, find_odd_model
 from .oracles import verify_colouring
 from .treedepth import TREE_DEPTH_CAP, connected_tree_depth, tree_depth, u_graph
 
@@ -186,12 +187,7 @@ def cmd_verify(args):
     g = _load_graph(args.graph)
     data = parse_json(_read(args.artifact))
     if args.what == "model":
-        cert = certificate_from_json(data)
-        ok, why = verify_model(g, cert.model)
-        if ok:
-            ok, why = verify_odd_witness(g, cert.model, cert.witness)
-        if ok and not is_nontrivial(cert.model):
-            ok, why = False, "model is trivial (a branch set has fewer than 2 vertices)"
+        ok, why = verify_certificate(g, certificate_from_json(data))
     elif args.what == "decomposition":
         dec = decomposition_from_json(data)
         ok, why = validate_decomposition(g, dec)
@@ -200,13 +196,14 @@ def cmd_verify(args):
     else:
         colours, budgets = colouring_from_json(data, g.n)
         colouring = make_colouring(g, dict(enumerate(colours)))
-        max_colours = args.max_colours
-        max_cluster = args.max_cluster
+        max_colours = budgets.get("colours") if args.max_colours is None else args.max_colours
+        max_cluster = budgets.get("clustering") if args.max_cluster is None else args.max_cluster
         if max_colours is None:
-            max_colours = budgets.get("colours", colouring.num_colours)
-        if max_cluster is None:
-            max_cluster = budgets.get("clustering", colouring.max_cluster)
-        ok, why = verify_colouring(g, colouring, max_colours, max_cluster)
+            ok, why = False, "the artifact declares no colour budget and --max-colours is not given"
+        elif max_cluster is None:
+            ok, why = False, "the artifact declares no cluster budget and --max-cluster is not given"
+        else:
+            ok, why = verify_colouring(g, colouring, max_colours, max_cluster)
     _emit({"ok": ok, "violation": why})
     return EXIT_OK if ok else EXIT_NOT_FOUND
 
@@ -270,8 +267,8 @@ def build_parser():
     p.add_argument("what", choices=["colouring", "model", "decomposition"])
     p.add_argument("graph")
     p.add_argument("artifact")
-    p.add_argument("--max-colours", type=int, default=None)
-    p.add_argument("--max-cluster", type=int, default=None)
+    p.add_argument("--max-colours", type=_int_in(1), default=None)
+    p.add_argument("--max-cluster", type=_int_in(1), default=None)
     p.set_defaults(func=cmd_verify)
     return parser
 

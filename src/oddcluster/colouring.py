@@ -39,6 +39,7 @@ this is asserted, not assumed.
 
 from dataclasses import dataclass, field
 
+from . import treedepth
 from .errors import InternalConsistencyError
 from .decomposition import TreeDecomposition, decompose, restrict_decomposition
 from .eposa import Target, disjoint_or_hitting
@@ -153,33 +154,23 @@ def _k1_certificate(d, edge):
 
 
 def assemble_certificate(g, layering, i, u_i, tree, submodels, h, d):
-    """Glue d disjoint non-trivial odd U_{h-1,d}-models below a layered spanning tree.
+    """Glue d non-trivial odd U_{h-1,d}-models below a layered spanning tree.
 
     ``tree`` spans layers 0..i-1 plus u_i and becomes the branch set of the
     dominant root of U_{h,d}; it is coloured by layer parity with layer i-1
     red.  Every branch set in layer i contains a red vertex (non-trivial
     branch trees carry both colours) with a neighbour in the all-red layer
-    i-1, which realizes the root edges monochromatically.
+    i-1, which realizes the root edges monochromatically.  Nothing is
+    verified here: ``colour_bounded_tw`` checks the result, submodels included.
     """
     if len(submodels) != d:
         raise ValueError(f"need exactly {d} submodels, got {len(submodels)}")
-    layer_i = set(layering.layers[i])
-    used = set()
-    for model, witness in submodels:
+    region = set(layering.layers[i]) - {u_i}
+    for model, _ in submodels:
         if not is_nontrivial(model):
             raise ValueError("submodel is not non-trivial")
-        ok, why = verify_model(g, model)
-        if not ok:
-            raise ValueError(f"invalid submodel: {why}")
-        ok, why = verify_odd_witness(g, model, witness)
-        if not ok:
-            raise ValueError(f"submodel witness invalid: {why}")
-        sup = set(model.covered_vertices())
-        if not sup <= layer_i - {u_i}:
+        if not region.issuperset(model.covered_vertices()):
             raise ValueError("submodel leaves layer i minus u_i")
-        if sup & used:
-            raise ValueError("submodels are not disjoint")
-        used |= sup
 
     tree_verts = tuple(sorted(tree.vertices()))
     layer_of = layering.layer_of()
@@ -194,16 +185,17 @@ def assemble_certificate(g, layering, i, u_i, tree, submodels, h, d):
         colour.update(witness.colour)
 
     cert_model = Model(pattern=u_graph(h, d), branch_sets=branch_sets, branch_trees=branch_trees)
-    cert_witness = Witness(colour=colour)
-    ok, why = verify_model(g, cert_model)
-    if not ok:
-        raise InternalConsistencyError(f"assembled certificate invalid: {why}")
-    ok, why = verify_odd_witness(g, cert_model, cert_witness)
-    if not ok:
-        raise InternalConsistencyError(f"assembled witness invalid: {why}")
-    if not is_nontrivial(cert_model):
-        raise InternalConsistencyError("assembled certificate is trivial")
-    return OddModelCertificate(h=h, d=d, model=cert_model, witness=cert_witness)
+    return OddModelCertificate(h=h, d=d, model=cert_model, witness=Witness(colour=colour))
+
+
+def verify_certificate(g, cert):
+    """Check a certificate's model, its oddness witness and non-triviality; returns (ok, why)."""
+    ok, why = verify_model(g, cert.model)
+    if ok:
+        ok, why = verify_odd_witness(g, cert.model, cert.witness)
+    if ok and not is_nontrivial(cert.model):
+        ok, why = False, "model is trivial (a branch set has fewer than 2 vertices)"
+    return ok, why
 
 
 def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
@@ -212,14 +204,18 @@ def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
     X is the set of vertices that ``dec``'s bags cover: all of V(G) for a
     decomposition of g, or part of it for a decomposition of an induced
     subgraph in g's own ids.  Colourings and certificates are in g's ids.
-    The budgets are checked on the result: a colouring over f(h) colours or
-    with a cluster over d*w + d - w raises InternalConsistencyError.
+    The result is checked: a certificate that ``verify_certificate``
+    rejects, or a colouring over f(h) colours or with a cluster over
+    d*w + d - w, raises InternalConsistencyError.
     """
     if h < 1 or d < 1:
         raise ValueError("need h >= 1 and d >= 1")
     raw, scope = {}, {}
     cert = _colour_rec(g, h, d, dec, cap, frozenset().union(*dec.bags), "", 0, raw, scope)
     if cert is not None:
+        ok, why = verify_certificate(g, cert)
+        if not ok:
+            raise InternalConsistencyError(f"U_{{{h},{d}}} certificate invalid: {why}")
         return cert
     _assert_scope_locality(g, raw, scope)
     colouring = make_colouring(g, raw, scope)
@@ -356,10 +352,7 @@ def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):
     components on [f(h), 2*f(h)), for at most 3*2^h - 4 colours total.
     A certificate from any component is reported at the U_{h,d} level.
     """
-    # imported at call time, so a rebinding of treedepth.connected_tree_depth is seen
-    from .treedepth import connected_tree_depth
-
-    h, _ = connected_tree_depth(pattern_graph)
+    h, _ = treedepth.connected_tree_depth(pattern_graph)
     d = pattern_graph.n
     if partition is None:
         return colour_bounded_tw(g, h, d, decompose(g), cap=cap)

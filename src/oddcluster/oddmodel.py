@@ -179,8 +179,9 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     order, or ``None`` with an exhaustiveness guarantee.  Raises
     ResourceLimitError when the region exceeds the cap — callers rely on
     "None means none exists", so there is no heuristic fallback.  A region
-    of any size without room for a non-trivial model is answered first:
-    non-trivial branch sets are disjoint and each holds an edge.
+    of any size without room for ``pattern.n`` branch sets is answered
+    first; ``room`` is the same bound that each candidate set must leave
+    for the branch sets after it.
     """
     if region is None:
         region = range(g.n)
@@ -189,7 +190,13 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
         if not 0 <= v < g.n:
             raise ValueError(f"invalid region vertex {v}")
     region_set = set(region)
-    if require_nontrivial and _max_edge_packing_bound(g, region_set) < pattern.n:
+
+    def room(available):
+        # an upper bound on the disjoint branch sets that fit in ``available``:
+        # a non-trivial one holds an edge, any other a vertex
+        return _max_edge_packing_bound(g, available) if require_nontrivial else len(available)
+
+    if room(region_set) < pattern.n:
         return None
     if len(region) > cap:
         raise ResourceLimitError(
@@ -199,9 +206,6 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     min_size = 2 if require_nontrivial else 1
     order = sorted(range(pattern.n), key=lambda x: (-pattern.degree(x), x))
 
-    if pattern.n * min_size > len(region):
-        return None
-
     def place(k, available, sets):
         if k == len(order):
             return _witness_search(g, pattern, order, sets)
@@ -210,10 +214,7 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
 
         def fits(current):
             # room for the later branch sets; only tightens as the set grows
-            rest = available - current
-            if require_nontrivial:
-                return _max_edge_packing_bound(g, rest) >= slots_after
-            return len(rest) >= slots_after
+            return room(available - current) >= slots_after
 
         for cand in _connected_subsets(adj, available, min_size, fits):
             if all(y not in sets or _joined(g, sets[y], cand) for y in pattern.adj[x]):

@@ -233,6 +233,18 @@ class TestAssembleCertificate:
         with pytest.raises(ValueError):
             assemble_certificate(g, layering, 2, 2, tree, [found, found], 2, 1)
 
+    def test_builds_without_verifying(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("assemble_certificate ran a verifier")
+
+        for name in ("verify_model", "verify_odd_witness"):
+            monkeypatch.setattr(colouring, name, refuse)
+        g, layering, tree, found = self._fixture()
+        cert = assemble_certificate(g, layering, 2, 2, tree, [found], 2, 1)
+        monkeypatch.undo()
+        check_certificate(g, cert)
+        assert colouring.verify_certificate(g, cert) == (True, None)
+
     def test_rejects_trivial_submodel(self):
         g, layering, tree, _ = self._fixture()
         trivial = find_odd_model(g, u_graph(1, 1), region=[3, 4], require_nontrivial=False)
@@ -498,6 +510,37 @@ class TestPostconditions:
         monkeypatch.setattr(colouring, "disjoint_or_hitting", lambda *args: Dichotomy(hitting_set=()))
         g = Graph(8, [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)])
         with pytest.raises(InternalConsistencyError, match="certified clean"):
+            colour_bounded_tw(g, 2, 2, decompose(g))
+
+    def test_k1_certificate(self, monkeypatch):
+        # the h = 1 certificate is checked like an assembled one
+        real = colouring._k1_certificate
+
+        def monochromatic(d, edge):
+            cert = real(d, edge)
+            cert.witness.colour[edge[1]] = cert.witness.colour[edge[0]]
+            return cert
+
+        monkeypatch.setattr(colouring, "_k1_certificate", monochromatic)
+        g = path_graph(3)
+        with pytest.raises(InternalConsistencyError, match="monochromatic edge"):
+            colour_bounded_tw(g, 1, 1, decompose(g))
+
+    def test_assembled_certificate(self, monkeypatch):
+        # a vertex dropped from the largest branch set leaves its branch tree
+        # spanning a vertex outside it
+        real = colouring.assemble_certificate
+
+        def drop_a_vertex(*args):
+            cert = real(*args)
+            sets = cert.model.branch_sets
+            x = max(sets, key=lambda x: len(sets[x]))
+            sets[x] = sets[x][:-1]
+            return cert
+
+        monkeypatch.setattr(colouring, "assemble_certificate", drop_a_vertex)
+        g = Graph(8, [(0, i) for i in range(1, 8)] + [(i, i % 7 + 1) for i in range(1, 8)])
+        with pytest.raises(InternalConsistencyError, match="certificate invalid"):
             colour_bounded_tw(g, 2, 2, decompose(g))
 
 

@@ -22,7 +22,7 @@ from oddcluster import (
 from oddcluster.cli import build_parser, main
 from oddcluster.colouring import OddModelCertificate
 from oddcluster.errors import ParseError
-from oddcluster.generators import cycle_graph, random_partial_ktree
+from oddcluster.generators import complete_graph, cycle_graph, random_partial_ktree
 from oddcluster.io import (
     certificate_from_json,
     certificate_to_json,
@@ -160,6 +160,12 @@ class TestCli:
         code, out = run_cli(capsys, ["odd-minor", gp, hp])
         assert code == 1 and not json.loads(out)["found"]
 
+    def test_odd_minor_without_room_ignores_the_cap(self, capsys, write):
+        gp = write("c5.txt", serialize_graph(cycle_graph(5)))
+        hp = write("k6.txt", serialize_graph(complete_graph(6)))
+        code, out = run_cli(capsys, ["--cap", "3", "odd-minor", gp, hp])
+        assert code == 1 and json.loads(out) == {"found": False}
+
     def test_colour_ok(self, capsys, write):
         gp = write("g.txt", serialize_graph(cycle_graph(6)))
         code, out = run_cli(capsys, ["colour", gp, "--h", "2", "--d", "2"])
@@ -187,8 +193,34 @@ class TestCli:
     def test_verify_rejects_bad_colouring(self, capsys, write):
         gp = write("g.txt", serialize_graph(cycle_graph(4)))
         ap = write("col.json", json.dumps({"colours": [0, 0, 0, 0]}))
-        code, out = run_cli(capsys, ["verify", "colouring", gp, ap, "--max-cluster", "1"])
+        code, out = run_cli(capsys, ["verify", "colouring", gp, ap, "--max-colours", "1", "--max-cluster", "1"])
         assert code == 1 and not json.loads(out)["ok"]
+
+    def test_verify_colouring_needs_both_budgets(self, capsys, write):
+        # a single colour on C_7 with no budgets declared is not checked against its own counts
+        gp = write("g.txt", serialize_graph(cycle_graph(7)))
+        ap = write("col.json", json.dumps({"colours": [0] * 7}))
+        for flags, missing in (([], "--max-colours"), (["--max-colours", "1"], "--max-cluster")):
+            code, out = run_cli(capsys, ["verify", "colouring", gp, ap, *flags])
+            data = json.loads(out)
+            assert code == 1 and not data["ok"] and missing in data["violation"]
+        code, out = run_cli(capsys, ["verify", "colouring", gp, ap, "--max-colours", "1", "--max-cluster", "7"])
+        assert code == 0 and json.loads(out)["ok"]
+
+    @pytest.mark.parametrize("flag, value", [("--max-colours", "-1"), ("--max-cluster", "0")])
+    def test_verify_colouring_budget_out_of_range(self, capsys, write, flag, value):
+        gp = write("g.txt", serialize_graph(cycle_graph(7)))
+        ap = write("col.json", json.dumps({"colours": [0, 1] * 3 + [2]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "colouring", gp, ap, flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_verify_model_rejects_a_trivial_model(self, capsys, write):
+        ap = write("cert.json", json.dumps(cert_json(branch_sets=[[0]], tree_edges=[[]], witness={"0": 0})))
+        code, out = run_cli(capsys, ["verify", "model", write("g.txt", P3), ap])
+        assert code == 1 and json.loads(out)["violation"].startswith("model is trivial")
 
     def test_verify_decomposition(self, capsys, write):
         g = cycle_graph(6)

@@ -239,6 +239,12 @@ class TestFindOddModel:
         with pytest.raises(ResourceLimitError):
             find_odd_model(Graph(30), K2, cap=24)
 
+    def test_no_room_is_answered_before_the_cap(self):
+        # five vertices cannot hold six branch sets, whatever the cap
+        assert find_odd_model(cycle_graph(5), complete_graph(6), cap=3) is None
+        with pytest.raises(ResourceLimitError):
+            find_odd_model(cycle_graph(6), complete_graph(6), cap=3)
+
     def test_region_restriction(self):
         g = cycle_graph(6)
         found = find_odd_model(g, K2, region=[0, 1])
