@@ -19,8 +19,9 @@ The whole recursion runs on the input graph and decomposition: a
 sub-problem (a component, a layer's region, what the hitting set leaves) is
 a vertex set of the input, never a relabelled copy.  Each layer that runs
 the dichotomy restricts the input decomposition once, to its region; since
-the kept nodes of a restriction are closed under lowest common ancestors,
-this is the same tree that restricting component by component would give.
+a restriction keeps exactly the nodes whose bags meet its vertex set, each
+under its nearest kept ancestor, this is the same tree that restricting
+component by component would give.
 The pipeline copies a monochromatic component only to decompose it: the
 bags are mapped back to the host's ids and the component is coloured on the
 host, so colourings and certificates come back in host ids with nothing to

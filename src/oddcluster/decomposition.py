@@ -301,34 +301,29 @@ def decompose(g):
 def restrict_decomposition(dec, xs):
     """Decomposition of the subgraph induced on the vertex set ``xs``, in the same ids.
 
-    Keeps the nodes whose bags meet ``xs`` plus the lowest common ancestors
-    of kept nodes consecutive in id order (the virtual tree of the kept
-    nodes), and contracts the paths between them.  A vertex of ``xs`` has
-    its trace wholly among the kept nodes, still connected, so every induced
-    edge stays covered and the width can only shrink.  Kept nodes keep their
-    relative order, which is a pre-order of the contracted tree:
-    ``postorder`` visits them in the same relative order as in ``dec``, and
-    a node left out has an empty bag and the same subtree union as its
-    highest kept descendant, so the dichotomy walk makes the same choices on
-    either decomposition.  When ``xs`` holds every vertex of ``dec``, ``dec``
-    itself is returned.
+    Keeps exactly the nodes whose bags meet ``xs``, each under its nearest
+    kept ancestor (a root if it has none), with its bag cut to ``xs``.  The
+    trace of a vertex of ``xs`` is all kept, and the parent of each of its
+    nodes but the top is in it too, so the trace stays connected, every
+    induced edge stays covered and the width can only shrink.  Kept nodes
+    keep their relative order, which is a pre-order of the new forest, so
+    ``postorder`` visits them in the same relative order as in ``dec``.  A
+    dropped node's bag misses ``xs``, so no edge of G[xs] joins the kept
+    nodes of two of its child subtrees, and a connected target in its region
+    lies in one child's part.  That child was asked first and found no
+    target there, or its part was deleted; so a dropped node never stops
+    the dichotomy walk, which makes the same stops, with the same bags and
+    unions, on either decomposition.  When ``xs`` holds every vertex of
+    ``dec``, ``dec`` itself is returned; when it meets no bag, one empty bag is.
     """
     trace = dec.trace
     xs = frozenset(xs)
     if trace.keys() <= xs:
         return dec
-    hits = sorted({x for v in xs for x in trace.get(v, ())})
-    if not hits:
+    nodes = sorted({x for v in xs for x in trace.get(v, ())})
+    if not nodes:
         return TreeDecomposition((-1,), [()])
-    parent, end = dec.parent, dec.end
-    keep = set(hits)
-    for a, b in zip(hits, hits[1:]):
-        x = a
-        while x >= 0 and end[x] <= b:  # x <= a < b: x is b's ancestor iff b < end[x]
-            x = parent[x]
-        if x >= 0:  # a and b lie in one tree of the forest
-            keep.add(x)
-    nodes = sorted(keep)
+    end = dec.end
     new_parent = []
     path = []  # new ids of the kept ancestors of the node read
     for x in nodes:

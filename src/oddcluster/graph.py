@@ -198,24 +198,23 @@ def induced_subgraph(g, xs):
     return Graph(len(xs), edges), xs
 
 
-def reach(adj, start, allowed=None, edge_ok=None):
-    """Vertices reachable from ``start`` through ``allowed`` by edges vu with ``edge_ok(v, u)``.
+def reach(adj, start, allowed=None):
+    """Vertices reachable from ``start`` through ``allowed`` (every vertex when None).
 
-    ``adj[v]`` is v's neighbour set; None allows every vertex or edge.  The
-    walk takes neighbours in set order, as only the set is returned.
+    ``adj[v]`` is v's neighbour set, taken in set order: only the set is returned.
     """
     seen = {start}
     stack = [start]
     while stack:
         v = stack.pop()
         for u in adj[v] if allowed is None else adj[v] & allowed:
-            if u not in seen and (edge_ok is None or edge_ok(v, u)):
+            if u not in seen:
                 seen.add(u)
                 stack.append(u)
     return seen
 
 
-def bfs_tree(adj, start, allowed=None, edge_ok=None):
+def bfs_tree(adj, start, allowed=None):
     """BFS parents ``{v: parent}`` of the vertices ``reach`` finds, start excluded.
 
     The dict is in visit order, and each vertex's neighbours are taken in
@@ -225,7 +224,7 @@ def bfs_tree(adj, start, allowed=None, edge_ok=None):
     order = [start]
     for v in order:  # grows while read: BFS order
         for u in sorted(adj[v] if allowed is None else adj[v] & allowed):
-            if u not in parent and u != start and (edge_ok is None or edge_ok(v, u)):
+            if u not in parent and u != start:
                 parent[u] = v
                 order.append(u)
     return parent

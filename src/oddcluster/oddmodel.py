@@ -58,12 +58,8 @@ def _is_spanning_tree(edges, verts, host):
 
 def joining_edges(g, set_a, set_b):
     """Host edges with one endpoint in each set."""
-    sa, sb = set(set_a), set(set_b)
-    out = []
-    for v in sorted(sa):
-        for u in sorted(g.adj[v] & sb):
-            out.append((v, u))
-    return out
+    sb = set(set_b)
+    return [(v, u) for v in sorted(set(set_a)) for u in sorted(g.adj[v] & sb)]
 
 
 def _joined(g, set_a, set_b):
@@ -121,6 +117,12 @@ def is_nontrivial(model):
     return all(len(bs) >= 2 for bs in model.branch_sets.values())
 
 
+def _bichromatic_adj(g, bs, colour):
+    """Adjacency of the bichromatic subgraph of G[bs] under a RED/BLUE colouring."""
+    red = {v for v in bs if colour[v] == RED}
+    return {v: g.adj[v] & (bs - red if v in red else red) for v in bs}
+
+
 def parity_realizable(g, branch_set, colour):
     """True iff the colouring properly 2-colours some spanning tree of G[B].
 
@@ -130,13 +132,13 @@ def parity_realizable(g, branch_set, colour):
     bs = set(branch_set)
     if not bs:
         raise ValueError("empty branch set")
-    return reach(g.adj, min(bs), bs, lambda v, u: colour[u] != colour[v]) == bs
+    return reach(_bichromatic_adj(g, bs, colour), min(bs)) == bs
 
 
 def _bichromatic_bfs_tree(g, branch_set, colour):
     """Minimum-index BFS tree inside the bichromatic subgraph of G[B]."""
     bs = set(branch_set)
-    tree = bfs_tree(g.adj, min(bs), bs, lambda v, u: colour[u] != colour[v])
+    tree = bfs_tree(_bichromatic_adj(g, bs, colour), min(bs))
     return tuple(sorted((min(v, p), max(v, p)) for v, p in tree.items()))
 
 
@@ -183,9 +185,7 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     first; ``room`` is the same bound that each candidate set must leave
     for the branch sets after it.
     """
-    if region is None:
-        region = range(g.n)
-    region = sorted(set(region))
+    region = sorted(set(range(g.n) if region is None else region))
     for v in region:
         if not 0 <= v < g.n:
             raise ValueError(f"invalid region vertex {v}")

@@ -191,7 +191,7 @@ class TestRestrictAndTraversal:
             assert unions[x] == expect
 
     def test_restrict_min_fill_decompositions(self):
-        # deep min-fill trees, where the virtual tree contracts long paths
+        # deep min-fill trees, where the restriction contracts long paths
         from oddcluster.generators import random_partial_ktree
 
         rng = random.Random(29)
@@ -204,9 +204,25 @@ class TestRestrictAndTraversal:
             ok, why = validate_decomposition(sub, renumbered(rdec, m))
             assert ok, why
             assert rdec.width <= dec.width
-            # only bags meeting xs, plus at most one LCA between consecutive ones
+            # exactly the bags meeting xs
             touched = sum(1 for b in dec.bags if set(b) & set(xs))
-            assert rdec.num_nodes <= 2 * touched - 1
+            assert rdec.num_nodes == touched
+
+    def test_restriction_keeps_no_empty_bag(self):
+        # every kept node's bag meets xs; an xs that meets no bag gets one empty bag
+        from oddcluster.decomposition import decompose
+        from oddcluster.generators import random_partial_ktree
+
+        rng = random.Random(37)
+        for trial in range(60):
+            g = random_partial_ktree(rng.randint(6, 50), rng.randint(1, 3), trial)
+            dec = decompose(g)
+            for xs in [*random_domains(rng, g, 4), [g.n]]:
+                rdec = restrict_decomposition(dec, xs)
+                if set(xs) & dec.trace.keys():
+                    assert all(rdec.bags), (trial, sorted(xs))
+                else:
+                    assert rdec.bags == ((),)
 
     def test_identity_restriction_is_the_decomposition(self):
         g = cycle_graph(9)
@@ -218,8 +234,9 @@ class TestRestrictAndTraversal:
         assert validate_decomposition(sub, renumbered(shifted, m))[0]
 
     def test_restricting_a_restriction_restricts_the_host(self):
-        # the kept nodes are closed under LCA, so a second restriction keeps
-        # what one restriction of the host keeps, in the same pre-order
+        # a node's nearest ancestor meeting the inner set is its nearest kept
+        # ancestor meeting it, so a second restriction keeps what one
+        # restriction of the host keeps, in the same pre-order
         from oddcluster.generators import random_partial_ktree
 
         rng = random.Random(31)
@@ -577,14 +594,7 @@ def reference_restrict(tree, bags, xs):
     hits = sorted({x for v in xs for x in trace.get(v, ())}, key=tin.__getitem__)
     if not hits:
         return RootedTree(parent={}, roots=(0,)), [()]
-    keep = set(hits)
-    for a, b in zip(hits, hits[1:]):
-        x = a
-        while x >= 0 and not tin[x] <= tin[b] < tout[x]:
-            x = up[x]
-        if x >= 0:
-            keep.add(x)
-    nodes = sorted(keep, key=tin.__getitem__)
+    nodes = hits
     new_id = {x: i for i, x in enumerate(nodes)}
     parent, roots, ancestors = {}, [], []
     for x in nodes:

@@ -148,6 +148,30 @@ class TestVirtualTreeRestriction:
                     b = disjoint_or_hitting(g, full, make_oracle(g), ell)
                     assert a == b
 
+    def test_component_oracle_same_dichotomy_as_full_tree_restriction(self):
+        # the layer oracle of the colouring, for U_{2,1} and U_{2,2}
+        from oddcluster.colouring import _component_oracle
+        from oddcluster.decomposition import decompose, restrict_decomposition
+        from oddcluster.generators import random_partial_ktree
+        from oddcluster.treedepth import u_graph
+
+        rng = random.Random(53)
+        compared = disjoint = 0
+        for trial in range(40):
+            g = random_partial_ktree(rng.randint(8, 24), rng.randint(2, 3), trial, edge_keep=0.8)
+            dec = decompose(g)
+            xs = sorted(rng.sample(range(g.n), rng.randint(g.n // 2, g.n - 1)))
+            restricted = restrict_decomposition(dec, xs)
+            full = full_tree_restriction(dec, set(xs))
+            for pattern in (u_graph(2, 1), u_graph(2, 2)):
+                for ell in (1, 2, 3):
+                    a = disjoint_or_hitting(g, restricted, _component_oracle(g, pattern, 24), ell)
+                    b = disjoint_or_hitting(g, full, _component_oracle(g, pattern, 24), ell)
+                    assert a == b
+                    compared += 1
+                    disjoint += a.is_disjoint_arm
+        assert compared == 240 and 0 < disjoint < compared
+
 
 class TestHittingSetBound:
     def test_bag_covering_the_vertices_in_play(self):
@@ -164,6 +188,38 @@ class TestHittingSetBound:
         dec.width = 1  # (ell-1)(w+1) = 2 < 3
         with pytest.raises(InternalConsistencyError, match="hitting set"):
             disjoint_or_hitting(g, dec, triangle_oracle(g), 2)
+
+
+class TestRunTimeChecks:
+    """An oracle that breaks its contract is caught, whichever rule it breaks."""
+
+    @pytest.mark.parametrize(
+        "bag, support, message",
+        [
+            ((0, 1, 2, 3, 4, 5), (), "oracle returned an empty target"),
+            ((0, 1, 2), (3, 4, 5), "oracle target leaves the queried region"),
+            ((0, 1, 2, 3, 4, 5), (0, 3), "oracle target support is not connected"),
+        ],
+    )
+    def test_bad_target(self, bag, support, message):
+        g = two_triangles()
+        dec = TreeDecomposition((-1,), [bag])
+        with pytest.raises(InternalConsistencyError, match=message):
+            disjoint_or_hitting(g, dec, lambda region: Target(support=support), 2)
+
+    def test_target_surviving_outside_the_hitting_set(self):
+        g = two_triangles()
+        asked = set()
+
+        def forgetful(region):
+            # finds the triangle only when asked the same region again
+            if region in asked:
+                return Target(support=(0, 1, 2))
+            asked.add(region)
+            return None
+
+        with pytest.raises(InternalConsistencyError, match="target survives outside the hitting set"):
+            disjoint_or_hitting(g, trivial_decomposition(g), forgetful, 2)
 
 
 class TestForestDecomposition:

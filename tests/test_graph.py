@@ -347,8 +347,8 @@ class TestReachAgainstUnionFind:
             start = rng.randrange(g.n)
             kept = [(a, b) for a, b in g.edges if parity[a] != parity[b]]
             want = next(c for c in union_find_components(allowed | {start}, kept) if start in c)
-            got = reach(g.adj, start, allowed, lambda v, u: parity[v] != parity[u])
-            assert got == set(want)
+            kept_adj = [{u for u in g.adj[v] if parity[v] != parity[u]} for v in range(g.n)]
+            assert reach(kept_adj, start, allowed) == set(want)
 
     def test_start_outside_allowed_is_reached(self):
         assert reach(path(3).adj, 0, {2}) == {0}
@@ -418,16 +418,13 @@ class TestBfsTree:
             xs = set(rng.sample(range(g.n), rng.randint(1, g.n)))
             start = min(xs)
             side = {v: rng.random() < 0.5 for v in range(g.n)}
-
-            def two_sided(v, u):
-                return side[v] != side[u]
-
-            for allowed, edge_ok in ((None, None), (xs, None), (xs, two_sided)):
-                tree = bfs_tree(g.adj, start, allowed, edge_ok)
-                assert {start, *tree} == reach(g.adj, start, allowed, edge_ok)
+            two_sided = [{u for u in g.adj[v] if side[v] != side[u]} for v in range(g.n)]
+            for adj, allowed in ((g.adj, None), (g.adj, xs), (two_sided, xs)):
+                tree = bfs_tree(adj, start, allowed)
+                assert {start, *tree} == reach(adj, start, allowed)
                 depth = {start: 0}
                 for v, p in tree.items():  # parents come before their children
-                    assert v in g.adj[p] and (edge_ok is None or edge_ok(p, v))
+                    assert v in g.adj[p] and (adj is g.adj or side[p] != side[v])
                     depth[v] = depth[p] + 1
                 assert list(depth.values()) == sorted(depth.values())
 

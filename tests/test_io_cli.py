@@ -526,6 +526,45 @@ class TestMalformedInputs:
         assert list(json.loads(out)) == ["found", "branch_sets", "tree_edges", "witness"]
 
 
+class TestHostileArtifacts:
+    """A certificate or partition file that breaks the rules gets its exit code, never a traceback."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured.out, captured.err
+
+    def k4_certificate(self, capsys, write):
+        gp = write("k4.txt", serialize_graph(complete_graph(4)))
+        code, out, _ = self.run(capsys, ["colour", gp, "--h", "2", "--d", "1"])
+        assert code == 3
+        return gp, json.loads(out)
+
+    def test_empty_branch_set(self, capsys, write):
+        gp, cert = self.k4_certificate(capsys, write)
+        cert["branch_sets"][1] = []
+        cert["tree_edges"][1] = []
+        code, out, _ = self.run(capsys, ["verify", "model", gp, write("cert.json", json.dumps(cert))])
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "violation": "branch set of pattern vertex 1 is empty"}
+
+    def test_branch_vertex_out_of_range(self, capsys, write):
+        gp, cert = self.k4_certificate(capsys, write)
+        cert["branch_sets"][0].append(99)
+        cert["witness"]["99"] = 0
+        code, out, _ = self.run(capsys, ["verify", "model", gp, write("cert.json", json.dumps(cert))])
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "violation": "branch set of 0 contains invalid vertex 99"}
+
+    def test_partition_of_only_a_comment(self, capsys, write):
+        gp = write("k4.txt", serialize_graph(complete_graph(4)))
+        pp = write("part.txt", "# no partition here\n")
+        code, out, err = self.run(capsys, ["pipeline", gp, gp, "--partition", pp])
+        assert code == 2 and not out
+        assert err == "parse error: line 1: empty partition file\n"
+
+
 def bfs_numbered_json(dec):
     """``dec`` as JSON with its nodes renumbered breadth-first, children in id order."""
     order = [0]
