@@ -38,7 +38,6 @@ from .oddmodel import (
     Witness,
     find_odd_model,
     is_nontrivial,
-    parity_realizable,
     verify_model,
     verify_odd_witness,
 )

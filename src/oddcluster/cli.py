@@ -189,10 +189,7 @@ def cmd_verify(args):
     if args.what == "model":
         ok, why = verify_certificate(g, certificate_from_json(data))
     elif args.what == "decomposition":
-        dec = decomposition_from_json(data)
-        ok, why = validate_decomposition(g, dec)
-        if ok and data.get("width", dec.width) != dec.width:
-            ok, why = False, f"stored width {data['width']} != recomputed {dec.width}"
+        ok, why = validate_decomposition(g, decomposition_from_json(data))
     else:
         colours, budgets = colouring_from_json(data, g.n)
         colouring = make_colouring(g, dict(enumerate(colours)))

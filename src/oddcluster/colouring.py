@@ -309,9 +309,9 @@ def _component_oracle(g, pattern, cap):
     or None, but searches each component of G[region] on its own, with
     ``cap`` applied per component.  The pattern U is connected, so a model
     lies in one component, and components with fewer than 2|V(U)| vertices
-    cannot hold a non-trivial one.  Regions and components share one memo,
-    keyed by their vertex sets.  Pattern vertex 0, the root of U, is placed
-    first and every other pattern vertex is adjacent to it; so the
+    cannot hold a non-trivial one.  The memo is keyed by components, so it
+    holds no more than the searches made.  Pattern vertex 0, the root of U,
+    is placed first and every other pattern vertex is adjacent to it; so the
     whole-region search returns, among the components' models, the one
     whose root branch set has the least minimum vertex.  The colouring
     does not build this oracle for a layer region below 2|V(U)| vertices:
@@ -321,24 +321,21 @@ def _component_oracle(g, pattern, cap):
     memo = {}
 
     def oracle(region):
-        region = frozenset(region)
-        if region not in memo:
-            targets = []
-            seen = set()
-            for v in sorted(region):
-                if v in seen:
-                    continue
-                comp = frozenset(reach(g.adj, v, region))
-                seen |= comp
-                if len(comp) < 2 * pattern.n:
-                    continue
-                if comp not in memo:
-                    found = find_odd_model(g, pattern, sorted(comp), require_nontrivial=True, cap=cap)
-                    memo[comp] = found and Target(tuple(found[0].covered_vertices()), found)
-                if memo[comp] is not None:
-                    targets.append(memo[comp])
-            memo[region] = min(targets, key=lambda t: t.payload[0].branch_sets[0][0], default=None)
-        return memo[region]
+        targets = []
+        seen = set()
+        for v in sorted(region):
+            if v in seen:
+                continue
+            comp = frozenset(reach(g.adj, v, region))
+            seen |= comp
+            if len(comp) < 2 * pattern.n:
+                continue
+            if comp not in memo:
+                found = find_odd_model(g, pattern, sorted(comp), require_nontrivial=True, cap=cap)
+                memo[comp] = found and Target(tuple(found[0].covered_vertices()), found)
+            if memo[comp] is not None:
+                targets.append(memo[comp])
+        return min(targets, key=lambda t: t.payload[0].branch_sets[0][0], default=None)
 
     return oracle
 

@@ -11,7 +11,8 @@ the whole subtree region.  Recorded targets live in regions deleted before
 later stops, so they are pairwise disjoint.  The walk goes on after a stop
 rather than starting over: a node passed earlier found nothing in a
 superset of its region now, and the oracle is exact, so it would find
-nothing again.
+nothing again.  A region equal to the one just asked is passed too: a
+target would have deleted it, so the answer was None.
 """
 
 from dataclasses import dataclass
@@ -62,10 +63,12 @@ def disjoint_or_hitting(g, dec, oracle, ell):
     deleted = set()
     hitting = []
     found = []
+    asked = None
     for x, union in zip(order, subtree_bag_unions(dec, order)):
         region = frozenset(union - deleted)
-        if not region:
+        if not region or region == asked:
             continue
+        asked = region
         target = oracle(region)
         if target is None:
             continue

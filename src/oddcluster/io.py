@@ -141,7 +141,6 @@ def certificate_from_json(data):
         "'witness' must map vertices to 0 or 1",
     )
     colour = {int(v): c for v, c in witness.items()}
-    _require(all(v in colour for bs in sets for v in bs), "'witness' misses a branch-set vertex")
     model = Model(
         pattern=u_graph(h, d),
         branch_sets={x: tuple(bs) for x, bs in enumerate(sets)},
@@ -175,6 +174,7 @@ def decomposition_from_json(data):
     """The decomposition rooted at node 0, renumbered in pre-order with children by node id.
 
     Its edges must form a tree on its nodes, and it must hold one bag per node.
+    A declared ``width`` becomes its stored width, for ``validate_decomposition`` to check.
     """
     nodes, edges, bags = data.get("nodes"), data.get("edges"), data.get("bags")
     _require(type(nodes) is int and nodes >= 1, "'nodes' must be a positive integer")
@@ -195,4 +195,6 @@ def decomposition_from_json(data):
     parent = bfs_tree(adj, 0)  # n - 1 edges that reach all n nodes form a tree
     _require(len(parent) == nodes - 1, "'edges' do not form a tree")
     children = [sorted(adj[x] - {parent.get(x)}) for x in range(nodes)]
-    return preorder_decomposition(children, [0], bags)
+    dec = preorder_decomposition(children, [0], bags)
+    dec.width = data.get("width", dec.width)
+    return dec

@@ -8,8 +8,9 @@ coloured while every pattern edge has a monochromatic realizing edge.
 
 The search collapses "choose a spanning tree plus a proper colouring of it"
 into "choose a vertex 2-colouring whose bichromatic edges span the branch
-set" (see ``parity_realizable``); the two formulations admit exactly the
-same colourings, and the latter is cheap to enumerate.
+set"; the two admit the same colourings, and the latter is cheap to
+enumerate: one BFS of the bichromatic subgraph tests a colouring and
+gives its branch tree.
 
 Branch sets are placed one pattern vertex at a time, in decreasing pattern
 degree.  Each candidate set is generated once and passes one feasibility
@@ -25,8 +26,6 @@ from .graph import Graph, bfs_tree, reach
 
 FIND_MODEL_CAP = 24
 
-RED, BLUE = 0, 1
-
 
 @dataclass
 class Model:
@@ -40,7 +39,7 @@ class Model:
 
 @dataclass
 class Witness:
-    colour: dict  # covered host vertex -> RED | BLUE
+    colour: dict  # covered host vertex -> 0 (red) | 1 (blue)
 
 
 def _is_spanning_tree(edges, verts, host):
@@ -115,31 +114,6 @@ def verify_odd_witness(g, model, witness):
 def is_nontrivial(model):
     """True iff every branch set has at least 2 vertices."""
     return all(len(bs) >= 2 for bs in model.branch_sets.values())
-
-
-def _bichromatic_adj(g, bs, colour):
-    """Adjacency of the bichromatic subgraph of G[bs] under a RED/BLUE colouring."""
-    red = {v for v in bs if colour[v] == RED}
-    return {v: g.adj[v] & (bs - red if v in red else red) for v in bs}
-
-
-def parity_realizable(g, branch_set, colour):
-    """True iff the colouring properly 2-colours some spanning tree of G[B].
-
-    Equivalently: the bichromatic edges of G[B] form a connected spanning
-    subgraph of B.
-    """
-    bs = set(branch_set)
-    if not bs:
-        raise ValueError("empty branch set")
-    return reach(_bichromatic_adj(g, bs, colour), min(bs)) == bs
-
-
-def _bichromatic_bfs_tree(g, branch_set, colour):
-    """Minimum-index BFS tree inside the bichromatic subgraph of G[B]."""
-    bs = set(branch_set)
-    tree = bfs_tree(_bichromatic_adj(g, bs, colour), min(bs))
-    return tuple(sorted((min(v, p), max(v, p)) for v, p in tree.items()))
 
 
 def _connected_subsets(adj, available, min_size, fits):
@@ -233,26 +207,33 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
 def _witness_search(g, pattern, order, sets):
     """Decide oddness of a fixed branch-set family; build Model+Witness if odd.
 
-    Every branch set is connected, so each has a parity-realizable
-    colouring, and ``place`` has joined every pattern edge; the search only
+    Every branch set is connected, so some colouring's bichromatic BFS tree
+    spans it, and ``place`` has joined every pattern edge; the search only
     decides whether the choices can make every pattern edge monochromatic.
     """
-    options = {}
+    options = {}  # pattern vertex -> [(colouring, its spanning bichromatic BFS parents)]
     for x, bs in sets.items():
-        colourings = ({v: bits >> i & 1 for i, v in enumerate(bs)} for bits in range(1 << len(bs)))
-        options[x] = [col for col in colourings if parity_realizable(g, bs, col)]
+        adj = {v: g.adj[v].intersection(bs) for v in bs}
+        options[x] = []
+        for bits in range(1 << len(bs)):
+            col = {v: bits >> i & 1 for i, v in enumerate(bs)}
+            tree = bfs_tree({v: {u for u in adj[v] if col[u] != col[v]} for v in bs}, bs[0])
+            if len(tree) == len(bs) - 1:
+                options[x].append((col, tree))
     # joining-edge lists from order[k]'s set to each earlier neighbour's set
     joins = [
         [joining_edges(g, sets[x], sets[y]) for y in order[:k] if y in pattern.adj[x]]
         for k, x in enumerate(order)
     ]
-    colour = {}  # the options chosen at levels 0..k, written over on backtracking
+    colour, trees = {}, {}  # the options chosen at levels 0..k, written over on backtracking
 
     def assign(k):
         if k == len(order):
             return True
-        for col in options[order[k]]:
+        x = order[k]
+        for col, tree in options[x]:
             colour.update(col)
+            trees[x] = tree
             if all(any(colour[a] == colour[b] for a, b in je) for je in joins[k]) and assign(k + 1):
                 return True
         return False
@@ -264,6 +245,6 @@ def _witness_search(g, pattern, order, sets):
     model = Model(
         pattern=pattern,
         branch_sets={x: tuple(bs) for x, bs in sets.items()},
-        branch_trees={x: _bichromatic_bfs_tree(g, bs, colour) for x, bs in sets.items()},
+        branch_trees={x: tuple(sorted((min(v, p), max(v, p)) for v, p in trees[x].items())) for x in sets},
     )
     return model, Witness(colour=colour)

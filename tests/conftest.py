@@ -3,15 +3,16 @@
 The oracles are intentionally written from the definitions, without reusing
 the library's optimized code paths, so the two can falsify each other.  The
 helpers at the end (bipartiteness with odd-cycle extraction, the single-bag
-decomposition, small graph families and a forest's children lists) are used
-only by the tests, so they live here rather than in the library.
+decomposition, small graph families, a forest's children lists and the
+parity test of a branch-set colouring) are used only by the tests, so they
+live here rather than in the library.
 """
 
 import random
 from itertools import combinations, permutations
 
 from oddcluster import Graph, TreeDecomposition
-from oddcluster.graph import bfs_tree
+from oddcluster.graph import bfs_tree, reach
 
 
 def random_small_graph(rng, n_max, n_min=1):
@@ -199,3 +200,31 @@ def tree_children(tree):
     for v in ch:
         ch[v].sort()
     return ch
+
+
+RED = 0
+
+
+def _bichromatic_adj(g, bs, colour):
+    """Adjacency of the bichromatic subgraph of G[bs] under a RED/BLUE colouring."""
+    red = {v for v in bs if colour[v] == RED}
+    return {v: g.adj[v] & (bs - red if v in red else red) for v in bs}
+
+
+def parity_realizable(g, branch_set, colour):
+    """True iff the colouring properly 2-colours some spanning tree of G[B].
+
+    Equivalently: the bichromatic edges of G[B] form a connected spanning
+    subgraph of B.
+    """
+    bs = set(branch_set)
+    if not bs:
+        raise ValueError("empty branch set")
+    return reach(_bichromatic_adj(g, bs, colour), min(bs)) == bs
+
+
+def bichromatic_bfs_tree(g, branch_set, colour):
+    """Minimum-index BFS tree inside the bichromatic subgraph of G[B]."""
+    bs = set(branch_set)
+    tree = bfs_tree(_bichromatic_adj(g, bs, colour), min(bs))
+    return tuple(sorted((min(v, p), max(v, p)) for v, p in tree.items()))

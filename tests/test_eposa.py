@@ -307,6 +307,32 @@ class TestSinglePass:
                     restarts_saved += len(ref_asked) - len(walk)
         assert restarts_saved > 0
 
+    def test_no_region_is_asked_twice_in_a_row(self):
+        # a node whose region equals the one asked just before is passed: that
+        # answer was None, so the result is the restarting scan's all the same
+        from oddcluster import heuristic_decomposition
+        from oddcluster.generators import random_partial_ktree
+
+        rng = random.Random(80)
+        repeats_passed = 0
+        for trial in range(60):
+            g = random_partial_ktree(rng.randint(4, 40), rng.randint(1, 3), trial, edge_keep=0.9)
+            dec = exact_treewidth(g)[1] if g.n <= 12 else heuristic_decomposition(g)
+            for make_oracle in (triangle_oracle, edge_oracle):
+                for ell in (1, 2, 3):
+                    asked, ref_asked = [], []
+
+                    def counted(log, oracle=make_oracle(g)):
+                        return lambda region: log.append(region) or oracle(region)
+
+                    got = disjoint_or_hitting(g, dec, counted(asked), ell)
+                    assert got == reference_disjoint_or_hitting(dec, counted(ref_asked), ell)
+                    walk = asked[:-1] if got.hitting_set is not None else asked
+                    assert all(a != b for a, b in zip(walk, walk[1:]))
+                    # the restarting scan asks every node's region, repeats included
+                    repeats_passed += sum(a == b for a, b in zip(ref_asked, ref_asked[1:]))
+        assert repeats_passed > 100
+
 
 class TestUnionMemory:
     def test_wheel_restriction_in_linear_memory(self):

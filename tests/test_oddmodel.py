@@ -8,7 +8,6 @@ from oddcluster import (
     find_odd_model,
     is_nontrivial,
     odd_minor_oracle,
-    parity_realizable,
     u_graph,
     verify_model,
     verify_odd_witness,
@@ -17,14 +16,13 @@ from oddcluster.errors import ResourceLimitError
 from oddcluster.oddmodel import (
     Model,
     Witness,
-    _bichromatic_bfs_tree,
     _connected_subsets,
     _max_edge_packing_bound,
     joining_edges,
 )
 from oddcluster.oracles import _spanning_trees, _tree_two_colourings
 from oddcluster.generators import complete_graph, cycle_graph, star_graph
-from conftest import is_bipartite, path_graph, random_small_graph
+from conftest import bichromatic_bfs_tree, is_bipartite, parity_realizable, path_graph, random_small_graph
 
 K1 = Graph(1)
 K2 = Graph(2, [(0, 1)])
@@ -496,6 +494,6 @@ def _reference_witness_search(g, pattern, order, sets):
     model = Model(
         pattern=pattern,
         branch_sets={x: tuple(bs) for x, bs in sets.items()},
-        branch_trees={x: _bichromatic_bfs_tree(g, bs, chosen[x]) for x, bs in sets.items()},
+        branch_trees={x: bichromatic_bfs_tree(g, bs, chosen[x]) for x, bs in sets.items()},
     )
     return model, Witness(colour=colour)

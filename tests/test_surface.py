@@ -9,7 +9,7 @@ import types
 import pytest
 
 import oddcluster
-from oddcluster import RootedTree, decomposition, generators, graph
+from oddcluster import RootedTree, decomposition, generators, graph, oddmodel
 
 EXPORTS = {
     "Budgets",
@@ -46,7 +46,6 @@ EXPORTS = {
     "make_colouring",
     "min_colours_with_clustering",
     "odd_minor_oracle",
-    "parity_realizable",
     "tree_depth",
     "u_graph",
     "validate_decomposition",
@@ -72,6 +71,7 @@ def test_exports_are_exactly_the_library_surface():
         (generators, "random_tree"),
         (generators, "random_graph"),
         (RootedTree, "children"),
+        (oddmodel, "parity_realizable"),
     ],
 )
 def test_test_only_helpers_stay_out_of_the_library(owner, name):
