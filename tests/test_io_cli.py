@@ -419,6 +419,7 @@ class TestMalformedInputs:
             cert_json(tree_edges=[]),
             cert_json(tree_edges=[[[0, 1, 2]]]),
             cert_json(witness={"0": 0, "1": 2}),
+            cert_json(witness=[0, 1]),
             cert_json(witness={"x": 0, "0": 0, "1": 1}),
             pytest.param("[1, 2", id="bad-syntax"),
             pytest.param("[]", id="not-an-object"),
