@@ -19,10 +19,8 @@ from .graph import (
     bfs_layers,
     connected_components,
     induced_subgraph,
-    layered_spanning_tree,
 )
 from .treedepth import (
-    closure,
     connected_tree_depth,
     tree_depth,
     u_graph,
@@ -35,7 +33,6 @@ from .decomposition import (
 )
 from .oddmodel import (
     Model,
-    Witness,
     find_odd_model,
     is_nontrivial,
     verify_model,

@@ -44,11 +44,10 @@ from . import treedepth
 from .errors import InternalConsistencyError
 from .decomposition import TreeDecomposition, decompose, restrict_decomposition
 from .eposa import Target, disjoint_or_hitting
-from .graph import bfs_layers, connected_components, induced_subgraph, layered_spanning_tree, reach
+from .graph import bfs_layers, connected_components, induced_subgraph, reach
 from .oddmodel import (
     FIND_MODEL_CAP,
     Model,
-    Witness,
     find_odd_model,
     is_nontrivial,
     verify_model,
@@ -106,7 +105,7 @@ class OddModelCertificate:
     h: int
     d: int
     model: Model
-    witness: Witness
+    witness: dict  # covered host vertex -> 0 (red) | 1 (blue)
 
 
 def make_colouring(g, raw_colour, scope=None):
@@ -151,19 +150,25 @@ def _k1_certificate(d, edge):
         branch_sets={0: (a, b)},
         branch_trees={0: ((a, b),)},
     )
-    return OddModelCertificate(h=1, d=d, model=model, witness=Witness(colour={a: 0, b: 1}))
+    return OddModelCertificate(h=1, d=d, model=model, witness={a: 0, b: 1})
 
 
-def assemble_certificate(g, layering, i, u_i, tree, submodels, h, d):
-    """Glue d non-trivial odd U_{h-1,d}-models below a layered spanning tree.
+def assemble_certificate(g, layering, i, u_i, submodels, h, d):
+    """Glue d non-trivial odd U_{h-1,d}-models, ``(Model, witness)`` pairs, below layers 0..i-1.
 
-    ``tree`` spans layers 0..i-1 plus u_i and becomes the branch set of the
-    dominant root of U_{h,d}; it is coloured by layer parity with layer i-1
-    red.  Every branch set in layer i contains a red vertex (non-trivial
-    branch trees carry both colours) with a neighbour in the all-red layer
-    i-1, which realizes the root edges monochromatically.  Nothing is
-    verified here: ``colour_bounded_tw`` checks the result, submodels included.
+    The branch set of the dominant root of U_{h,d} is layers 0..i-1 plus
+    u_i, with each vertex but the root hung from its least neighbour one
+    layer down, which exists by the layering invariant; it is coloured by
+    layer parity with layer i-1 red.  Every branch set in layer i contains
+    a red vertex (non-trivial branch trees carry both colours) with a
+    neighbour in the all-red layer i-1, which realizes the root edges
+    monochromatically.  Nothing is verified here: ``colour_bounded_tw``
+    checks the result, submodels included.
     """
+    if i < 1:
+        raise ValueError("layer index must be >= 1")
+    if i >= len(layering.layers) or u_i not in layering.layers[i]:
+        raise ValueError(f"vertex {u_i} is not in layer {i}")
     if len(submodels) != d:
         raise ValueError(f"need exactly {d} submodels, got {len(submodels)}")
     region = set(layering.layers[i]) - {u_i}
@@ -173,20 +178,25 @@ def assemble_certificate(g, layering, i, u_i, tree, submodels, h, d):
         if not region.issuperset(model.covered_vertices()):
             raise ValueError("submodel leaves layer i minus u_i")
 
-    tree_verts = tuple(sorted(tree.vertices()))
-    layer_of = layering.layer_of()
-    branch_sets = {0: tree_verts}
-    branch_trees = {0: tuple(sorted(tuple(sorted(e)) for e in tree.edges()))}
-    colour = {v: (i - 1 - layer_of[v]) % 2 for v in tree_verts}
+    colour, tree_edges, below = {}, [], set()
+    for j, layer in enumerate((*layering.layers[:i], (u_i,))):
+        for v in layer:
+            colour[v] = (i - 1 - j) % 2
+            if j:
+                p = min(g.adj[v] & below)
+                tree_edges.append((min(v, p), max(v, p)))
+        below = set(layer)
+    branch_sets = {0: tuple(sorted(colour))}
+    branch_trees = {0: tuple(sorted(tree_edges))}
     for j, (model, witness) in enumerate(submodels):
         emb = u_child_embedding(h, d, j)
         for x, bs in model.branch_sets.items():
             branch_sets[emb[x]] = bs
             branch_trees[emb[x]] = model.branch_trees[x]
-        colour.update(witness.colour)
+        colour.update(witness)
 
     cert_model = Model(pattern=u_graph(h, d), branch_sets=branch_sets, branch_trees=branch_trees)
-    return OddModelCertificate(h=h, d=d, model=cert_model, witness=Witness(colour=colour))
+    return OddModelCertificate(h=h, d=d, model=cert_model, witness=colour)
 
 
 def verify_certificate(g, cert):
@@ -286,8 +296,7 @@ def _colour_component(g, h, d, dec, cap, comp, prefix, base, raw, scope):
             dich = disjoint_or_hitting(g, dec_i, _component_oracle(g, pattern, cap), d)
             if dich.is_disjoint_arm:
                 submodels = [t.payload for t in dich.disjoint]
-                tree = layered_spanning_tree(g, layering, i, u_i)
-                return assemble_certificate(g, layering, i, u_i, tree, submodels, h, d)
+                return assemble_certificate(g, layering, i, u_i, submodels, h, d)
             hit = [*dich.hitting_set, u_i]
         tag = f"{prefix}/L{i}/hit"
         for v in hit:

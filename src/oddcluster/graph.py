@@ -111,9 +111,6 @@ class RootedTree:
     def vertices(self):
         return set(self.roots) | set(self.parent)
 
-    def edges(self):
-        return sorted((min(c, p), max(c, p)) for c, p in self.parent.items())
-
     def depth(self, v):
         """Number of edges from v to its root."""
         d = 0
@@ -139,14 +136,6 @@ class Layering:
     root: int
     layers: tuple
 
-    def layer_of(self):
-        """Map vertex -> layer index."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for v in layer:
-                out[v] = i
-        return out
-
 
 def bfs_layers(g, r, allowed=None):
     """Partition the component of r in G[allowed] (all of G when None) into distance layers from r."""
@@ -162,25 +151,6 @@ def bfs_layers(g, r, allowed=None):
             layers.append([])
         layers[k].append(v)
     return Layering(root=r, layers=tuple(tuple(sorted(l)) for l in layers))
-
-
-def layered_spanning_tree(g, layering, i, u_i):
-    """Spanning tree of layers 0..i-1 plus u_i, one edge down per vertex.
-
-    Each non-root vertex in layer j is attached to its minimum-index
-    neighbour in layer j-1, which exists by the layering invariant.
-    """
-    if i < 1:
-        raise ValueError("layer index must be >= 1")
-    if i >= len(layering.layers) or u_i not in layering.layers[i]:
-        raise ValueError(f"vertex {u_i} is not in layer {i}")
-    parent = {}
-    for j in range(1, i):
-        below = set(layering.layers[j - 1])
-        for v in layering.layers[j]:
-            parent[v] = min(g.adj[v] & below)
-    parent[u_i] = min(g.adj[u_i] & set(layering.layers[i - 1]))
-    return RootedTree(parent=parent, roots=(layering.root,))
 
 
 def induced_subgraph(g, xs):

@@ -12,7 +12,7 @@ import json
 from .errors import ParseError
 from .graph import Graph, bfs_tree, check_graph_size
 from .decomposition import preorder_decomposition
-from .oddmodel import Model, Witness
+from .oddmodel import Model
 from .colouring import OddModelCertificate
 from .treedepth import u_graph
 
@@ -94,7 +94,7 @@ def model_to_json(model, witness):
     return {
         "branch_sets": [list(model.branch_sets[x]) for x in range(pattern_n)],
         "tree_edges": [[list(e) for e in model.branch_trees[x]] for x in range(pattern_n)],
-        "witness": {str(v): c for v, c in sorted(witness.colour.items())},
+        "witness": {str(v): c for v, c in sorted(witness.items())},
     }
 
 
@@ -146,7 +146,7 @@ def certificate_from_json(data):
         branch_sets={x: tuple(bs) for x, bs in enumerate(sets)},
         branch_trees={x: tuple(tuple(e) for e in te) for x, te in enumerate(trees)},
     )
-    return OddModelCertificate(h=h, d=d, model=model, witness=Witness(colour=colour))
+    return OddModelCertificate(h=h, d=d, model=model, witness=colour)
 
 
 def colouring_from_json(data, n):

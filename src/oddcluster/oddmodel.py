@@ -37,11 +37,6 @@ class Model:
         return sorted(v for bs in self.branch_sets.values() for v in bs)
 
 
-@dataclass
-class Witness:
-    colour: dict  # covered host vertex -> 0 (red) | 1 (blue)
-
-
 def _is_spanning_tree(edges, verts, host):
     verts = set(verts)
     if len(edges) != len(verts) - 1:
@@ -92,19 +87,19 @@ def verify_model(g, model):
 
 
 def verify_odd_witness(g, model, witness):
-    """Check the oddness-witness invariants; returns (ok, first violation)."""
+    """Check an oddness witness, {covered host vertex: 0 (red) | 1 (blue)}; returns (ok, why)."""
     for v in model.covered_vertices():
-        if v not in witness.colour:
+        if v not in witness:
             return False, f"witness misses covered vertex {v}"
     for x, tree_edges in model.branch_trees.items():
         for a, b in tree_edges:
-            if a not in witness.colour or b not in witness.colour:
+            if a not in witness or b not in witness:
                 return False, f"branch tree of {x} has edge ({a},{b}) with an uncoloured end"
-            if witness.colour[a] == witness.colour[b]:
+            if witness[a] == witness[b]:
                 return False, f"branch tree of {x} has monochromatic edge ({a},{b})"
     for x, y in model.pattern.edges:
         if not any(
-            witness.colour[a] == witness.colour[b]
+            witness[a] == witness[b]
             for a, b in joining_edges(g, model.branch_sets[x], model.branch_sets[y])
         ):
             return False, f"pattern edge ({x},{y}) has no monochromatic realizing edge"
@@ -151,13 +146,14 @@ def _max_edge_packing_bound(g, available):
 def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_MODEL_CAP):
     """Exhaustively search G[region] for an odd pattern-model.
 
-    Returns ``(Model, Witness)`` for the first model in lexicographic search
-    order, or ``None`` with an exhaustiveness guarantee.  Raises
-    ResourceLimitError when the region exceeds the cap — callers rely on
-    "None means none exists", so there is no heuristic fallback.  A region
-    of any size without room for ``pattern.n`` branch sets is answered
-    first; ``room`` is the same bound that each candidate set must leave
-    for the branch sets after it.
+    Returns the first model in lexicographic search order with its oddness
+    witness, ``(Model, {covered vertex: 0 | 1})``, or ``None`` with an
+    exhaustiveness guarantee.  Raises ResourceLimitError when the region
+    exceeds the cap — callers rely on "None means none exists", so there is
+    no heuristic fallback.  A region of any size without room for
+    ``pattern.n`` branch sets is answered first, and so is the empty
+    pattern, whose empty model every region holds; ``room`` is the same
+    bound that each candidate set must leave for the branch sets after it.
     """
     region = sorted(set(range(g.n) if region is None else region))
     for v in region:
@@ -172,7 +168,7 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
 
     if room(region_set) < pattern.n:
         return None
-    if len(region) > cap:
+    if pattern.n and len(region) > cap:
         raise ResourceLimitError(
             f"odd-model search capped at {cap} region vertices, got {len(region)}"
         )
@@ -205,7 +201,7 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
 
 
 def _witness_search(g, pattern, order, sets):
-    """Decide oddness of a fixed branch-set family; build Model+Witness if odd.
+    """Decide oddness of a fixed branch-set family; build the model and its witness if odd.
 
     Every branch set is connected, so some colouring's bichromatic BFS tree
     spans it, and ``place`` has joined every pattern edge; the search only
@@ -247,4 +243,4 @@ def _witness_search(g, pattern, order, sets):
         branch_sets={x: tuple(bs) for x, bs in sets.items()},
         branch_trees={x: tuple(sorted((min(v, p), max(v, p)) for v, p in trees[x].items())) for x in sets},
     )
-    return model, Witness(colour=colour)
+    return model, colour

@@ -1,4 +1,4 @@
-"""Closures, the universal family U_{h,d}, and exact (connected) tree-depth.
+"""The universal family U_{h,d}, and exact (connected) tree-depth.
 
 Tree-depth is computed by memoized recursion over vertex subsets
 (bitmask-keyed), so it is exact but only intended for desk-scale inputs;
@@ -8,46 +8,38 @@ the default cap is 20 vertices.
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .graph import Graph, RootedTree
+from .graph import Graph, RootedTree, check_graph_size
 
 TREE_DEPTH_CAP = 20
 U_GRAPH_VERTEX_CAP = 4096
-
-
-def closure(tree):
-    """Graph joining every vertex of a rooted forest to all its strict ancestors."""
-    verts = sorted(tree.vertices())
-    if verts != list(range(len(verts))):
-        raise ValueError("closure expects dense vertex indices 0..n-1")
-    edges = []
-    for v in verts:
-        a = v
-        while a in tree.parent:
-            a = tree.parent[a]
-            edges.append((v, a))
-    return Graph(len(verts), edges)
-
-
-def complete_dary_tree(h, d):
-    """Complete d-ary tree of vertex-height h, vertices in BFS order (root 0)."""
-    if h < 1 or d < 1:
-        raise ValueError("h and d must be >= 1")
-    n, level = 0, 1
-    for _ in range(h):  # level by level, so a huge h or d stops at the cap
-        n, level = n + level, level * d
-        if n > U_GRAPH_VERTEX_CAP:
-            raise ResourceLimitError(f"U_{{{h},{d}}} has over {U_GRAPH_VERTEX_CAP} vertices")
-    parent = {v: (v - 1) // d for v in range(1, n)}
-    return RootedTree(parent=parent, roots=(0,))
 
 
 @lru_cache(maxsize=64)
 def u_graph(h, d):
     """U_{h,d}: the closure of the complete d-ary tree of vertex-height h.
 
+    Vertices are numbered breadth-first from the root 0, so the parent of v
+    is (v - 1) // d, and each vertex is joined to all its strict ancestors.
+    Both totals are counted level by level and checked against the caps
+    before anything is allocated, so a huge h or d stops at the count.
     Memoized: a ``Graph`` is immutable, so every caller can share one copy.
     """
-    return closure(complete_dary_tree(h, d))
+    if h < 1 or d < 1:
+        raise ValueError("h and d must be >= 1")
+    n = m = 0
+    level = 1
+    for depth in range(h):  # `level` vertices at this depth, `depth` ancestors each
+        n, m, level = n + level, m + depth * level, level * d
+        if n > U_GRAPH_VERTEX_CAP:
+            raise ResourceLimitError(f"U_{{{h},{d}}} has over {U_GRAPH_VERTEX_CAP} vertices")
+    check_graph_size(n, m)
+    edges = []
+    for v in range(1, n):
+        a = v
+        while a:
+            a = (a - 1) // d
+            edges.append((v, a))
+    return Graph(n, edges)
 
 
 def u_child_embedding(h, d, j):

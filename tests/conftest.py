@@ -3,16 +3,19 @@
 The oracles are intentionally written from the definitions, without reusing
 the library's optimized code paths, so the two can falsify each other.  The
 helpers at the end (bipartiteness with odd-cycle extraction, the single-bag
-decomposition, small graph families, a forest's children lists and the
-parity test of a branch-set colouring) are used only by the tests, so they
-live here rather than in the library.
+decomposition, small graph families, the closure of a rooted forest and
+the complete d-ary tree that ``u_graph`` is checked against, a forest's
+children lists and the parity test of a branch-set colouring) are used only
+by the tests, so they live here rather than in the library.
 """
 
 import random
 from itertools import combinations, permutations
 
-from oddcluster import Graph, TreeDecomposition
+from oddcluster import Graph, RootedTree, TreeDecomposition
+from oddcluster.errors import ResourceLimitError
 from oddcluster.graph import bfs_tree, reach
+from oddcluster.treedepth import U_GRAPH_VERTEX_CAP
 
 
 def random_small_graph(rng, n_max, n_min=1):
@@ -97,20 +100,19 @@ def max_disjoint_triangles(g):
     return rec(0, set())
 
 
-def check_layered_tree(g, layering, i, u_i, tree):
-    """Independent checker for the layered spanning tree contract."""
-    want = set()
-    for j in range(i):
-        want |= set(layering.layers[j])
-    want.add(u_i)
-    verts = tree.vertices()
-    assert verts == want, "tree does not span layers 0..i-1 plus u_i"
-    assert len(tree.parent) == len(verts) - 1
-    layer_of = layering.layer_of()
-    for c, p in tree.parent.items():
-        assert g.has_edge(c, p), "tree edge not in graph"
-        assert layer_of[p] == layer_of[c] - 1, "tree edge does not go one layer down"
-    assert len(verts) >= 2
+def check_layered_tree(g, layering, i, u_i, branch_set, tree_edges):
+    """Independent checker for the layered spanning tree of a certificate's root branch set."""
+    want = {u_i}.union(*layering.layers[:i])
+    assert set(branch_set) == want, "tree does not span layers 0..i-1 plus u_i"
+    assert len(tree_edges) == len(want) - 1
+    layer_of = {v: j for j, layer in enumerate(layering.layers) for v in layer}
+    children = []
+    for a, b in tree_edges:
+        assert g.has_edge(a, b), "tree edge not in graph"
+        assert abs(layer_of[a] - layer_of[b]) == 1, "tree edge does not go one layer down"
+        children.append(max((a, b), key=layer_of.get))
+    assert sorted(children) == sorted(want - {layering.root}), "a vertex has no single edge down"
+    assert len(want) >= 2
 
 
 def all_two_colourings_proper(g):
@@ -190,6 +192,33 @@ def random_graph(n, p, seed):
     rng = random.Random(seed)
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return Graph(n, edges)
+
+
+def closure(tree):
+    """Graph joining every vertex of a rooted forest to all its strict ancestors."""
+    verts = sorted(tree.vertices())
+    if verts != list(range(len(verts))):
+        raise ValueError("closure expects dense vertex indices 0..n-1")
+    edges = []
+    for v in verts:
+        a = v
+        while a in tree.parent:
+            a = tree.parent[a]
+            edges.append((v, a))
+    return Graph(len(verts), edges)
+
+
+def complete_dary_tree(h, d):
+    """Complete d-ary tree of vertex-height h, vertices in BFS order (root 0)."""
+    if h < 1 or d < 1:
+        raise ValueError("h and d must be >= 1")
+    n, level = 0, 1
+    for _ in range(h):  # level by level, so a huge h or d stops at the cap
+        n, level = n + level, level * d
+        if n > U_GRAPH_VERTEX_CAP:
+            raise ResourceLimitError(f"U_{{{h},{d}}} has over {U_GRAPH_VERTEX_CAP} vertices")
+    parent = {v: (v - 1) // d for v in range(1, n)}
+    return RootedTree(parent=parent, roots=(0,))
 
 
 def tree_children(tree):

@@ -19,7 +19,6 @@ from oddcluster import (
     heuristic_decomposition,
     induced_subgraph,
     is_nontrivial,
-    layered_spanning_tree,
     u_graph,
     verify_colouring,
     verify_model,
@@ -37,7 +36,7 @@ from oddcluster.generators import (
     star_graph,
 )
 from oddcluster.graph import reach
-from conftest import empty_graph, path_graph, random_tree, trivial_decomposition
+from conftest import check_layered_tree, empty_graph, path_graph, random_tree, trivial_decomposition
 
 
 def check_certificate(g, cert):
@@ -200,38 +199,33 @@ class TestAssembleCertificate:
         assert layering.layers == ((0,), (1,), (2, 3, 4))
         found = find_odd_model(g, u_graph(1, 1), region=[3, 4], require_nontrivial=True)
         assert found is not None
-        tree = layered_spanning_tree(g, layering, 2, 2)
-        return g, layering, tree, found
+        return g, layering, found
 
     def test_d1_h2(self):
-        g, layering, tree, found = self._fixture()
-        cert = assemble_certificate(g, layering, 2, 2, tree, [found], 2, 1)
+        g, layering, found = self._fixture()
+        cert = assemble_certificate(g, layering, 2, 2, [found], 2, 1)
         check_certificate(g, cert)
-        assert set(cert.model.branch_sets[0]) == tree.vertices()
+        assert cert.model.branch_sets[0] == (0, 1, 2)
+        check_layered_tree(g, layering, 2, 2, cert.model.branch_sets[0], cert.model.branch_trees[0])
 
     def test_parity_colouring_proper(self):
-        g, layering, tree, found = self._fixture()
-        cert = assemble_certificate(g, layering, 2, 2, tree, [found], 2, 1)
-        layer_of = layering.layer_of()
-        for c, p in tree.parent.items():
-            assert cert.witness.colour[c] != cert.witness.colour[p]
-        for v in tree.vertices():
-            if layer_of[v] == 1:
-                assert cert.witness.colour[v] == 0  # layer i-1 is red
+        g, layering, found = self._fixture()
+        cert = assemble_certificate(g, layering, 2, 2, [found], 2, 1)
+        for a, b in cert.model.branch_trees[0]:
+            assert cert.witness[a] != cert.witness[b]
+        assert cert.witness[1] == 0  # layer i-1 is red
 
     def test_monochromatic_join_to_layer_below(self):
-        g, layering, tree, found = self._fixture()
-        cert = assemble_certificate(g, layering, 2, 2, tree, [found], 2, 1)
-        child_set = cert.model.branch_sets[1]
-        reds = [v for v in child_set if cert.witness.colour[v] == 0]
-        assert any(
-            cert.witness.colour.get(u) == 0 for v in reds for u in g.adj[v] if u in tree.vertices()
-        )
+        g, layering, found = self._fixture()
+        cert = assemble_certificate(g, layering, 2, 2, [found], 2, 1)
+        root, child_set = cert.model.branch_sets[0], cert.model.branch_sets[1]
+        reds = [v for v in child_set if cert.witness[v] == 0]
+        assert any(cert.witness[u] == 0 for v in reds for u in g.adj[v] if u in root)
 
     def test_rejects_wrong_count(self):
-        g, layering, tree, found = self._fixture()
+        g, layering, found = self._fixture()
         with pytest.raises(ValueError):
-            assemble_certificate(g, layering, 2, 2, tree, [found, found], 2, 1)
+            assemble_certificate(g, layering, 2, 2, [found, found], 2, 1)
 
     def test_builds_without_verifying(self, monkeypatch):
         def refuse(*args):
@@ -239,17 +233,17 @@ class TestAssembleCertificate:
 
         for name in ("verify_model", "verify_odd_witness"):
             monkeypatch.setattr(colouring, name, refuse)
-        g, layering, tree, found = self._fixture()
-        cert = assemble_certificate(g, layering, 2, 2, tree, [found], 2, 1)
+        g, layering, found = self._fixture()
+        cert = assemble_certificate(g, layering, 2, 2, [found], 2, 1)
         monkeypatch.undo()
         check_certificate(g, cert)
         assert colouring.verify_certificate(g, cert) == (True, None)
 
     def test_rejects_trivial_submodel(self):
-        g, layering, tree, _ = self._fixture()
+        g, layering, _ = self._fixture()
         trivial = find_odd_model(g, u_graph(1, 1), region=[3, 4], require_nontrivial=False)
         with pytest.raises(ValueError):
-            assemble_certificate(g, layering, 2, 2, tree, [trivial], 2, 1)
+            assemble_certificate(g, layering, 2, 2, [trivial], 2, 1)
 
 
 class TestPipeline:
@@ -384,7 +378,7 @@ class TestComponentOracle:
         assert (got is None) == (want is None), sorted(region)
         if want is not None:
             assert got.payload == want
-            assert list(got.payload[1].colour) == list(want[1].colour)
+            assert list(got.payload[1]) == list(want[1])
             assert got.support == tuple(want[0].covered_vertices())
 
     def test_random_regions_agree_with_whole_region_search(self):
@@ -541,7 +535,7 @@ class TestPostconditions:
 
         def monochromatic(d, edge):
             cert = real(d, edge)
-            cert.witness.colour[edge[1]] = cert.witness.colour[edge[0]]
+            cert.witness[edge[1]] = cert.witness[edge[0]]
             return cert
 
         monkeypatch.setattr(colouring, "_k1_certificate", monochromatic)
@@ -593,7 +587,7 @@ class TestHostIdDecomposition:
                     x: tuple((m[a], m[b]) for a, b in te)
                     for x, te in want.model.branch_trees.items()
                 }
-                assert got.witness.colour == {m[v]: c for v, c in want.witness.colour.items()}
+                assert got.witness == {m[v]: c for v, c in want.witness.items()}
             else:
                 arms.add("colouring")
                 assert sorted(got.colour) == xs
@@ -683,8 +677,7 @@ def _reference_component(g, h, d, dec, cap, comp, prefix):
         dich = colouring.disjoint_or_hitting(g, dec_i, oracle, d)
         if dich.is_disjoint_arm:
             submodels = [t.payload for t in dich.disjoint]
-            tree = layered_spanning_tree(g, layering, i, u_i)
-            return assemble_certificate(g, layering, i, u_i, tree, submodels, h, d)
+            return assemble_certificate(g, layering, i, u_i, submodels, h, d)
         hit = list(dich.hitting_set) + [u_i]
         for v in hit:
             raw[v] = hit_colour

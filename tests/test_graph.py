@@ -6,11 +6,13 @@ import pytest
 
 from oddcluster import (
     Graph,
+    Model,
     RootedTree,
+    assemble_certificate,
     bfs_layers,
     connected_components,
     induced_subgraph,
-    layered_spanning_tree,
+    u_graph,
 )
 from oddcluster.colouring import monochromatic_components
 from oddcluster import graph as graph_module
@@ -133,7 +135,7 @@ class TestBfsLayers:
         for _ in range(50):
             g = random_small_graph(rng, 9)
             l = bfs_layers(g, 0)
-            layer_of = l.layer_of()
+            layer_of = {v: i for i, layer in enumerate(l.layers) for v in layer}
             # every edge inside the component stays within consecutive layers
             for a, b in g.edges:
                 if a in layer_of and b in layer_of:
@@ -157,47 +159,69 @@ def _bfs_distances(g, r):
     return dist
 
 
+def root_branch(g, i, u_i, layering=None):
+    """Branch set, tree edges and witness of the U_{2,1} certificate's root at layer i.
+
+    Its one submodel is a non-trivial K_1 on two other vertices of layer i,
+    adjacent or not: ``assemble_certificate`` verifies no model.
+    """
+    layering = layering or bfs_layers(g, 0)
+    a, b = [v for v in layering.layers[i] if v != u_i][:2]
+    k1 = (Model(u_graph(1, 1), {0: (a, b)}, {0: ((a, b),)}), {a: 0, b: 1})
+    cert = assemble_certificate(g, layering, i, u_i, [k1], 2, 1)
+    root = cert.model.branch_sets[0]
+    return root, cert.model.branch_trees[0], {v: cert.witness[v] for v in root}
+
+
 class TestLayeredSpanningTree:
+    """The certificate's root branch set: layers 0..i-1 plus u_i, one edge down per vertex."""
+
     def test_path_forced(self):
-        g = path(3)
-        l = bfs_layers(g, 0)
-        t = layered_spanning_tree(g, l, 1, 1)
-        assert t.edges() == [(0, 1)]
+        # the path 0-1-2, with 1 joined to the edge 3-4 in layer 2
+        g = Graph(5, [(0, 1), (1, 2), (1, 3), (1, 4), (3, 4)])
+        root, edges, colour = root_branch(g, 2, 2)
+        assert root == (0, 1, 2) and edges == ((0, 1), (1, 2))
+        assert colour == {0: 1, 1: 0, 2: 1}  # by layer parity, layer i-1 red
 
     def test_star_forced(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        l = bfs_layers(g, 0)
-        t = layered_spanning_tree(g, l, 1, 2)
-        assert t.edges() == [(0, 2)]
+        root, edges, _ = root_branch(g, 1, 2)
+        assert root == (0, 2) and edges == ((0, 2),)
 
     def test_four_cycle(self):
-        g = cycle(4)
+        # the 4-cycle, with 1 joined to the edge 4-5 in layer 2
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 4), (1, 5), (4, 5)])
         l = bfs_layers(g, 0)
-        t = layered_spanning_tree(g, l, 2, 2)
-        assert set(t.vertices()) == {0, 1, 2, 3}
-        check_layered_tree(g, l, 2, 2, t)
+        root, edges, _ = root_branch(g, 2, 2, l)
+        assert set(root) == {0, 1, 2, 3}
+        assert (1, 2) in edges  # 2 hangs from its least neighbour one layer down
+        check_layered_tree(g, l, 2, 2, root, edges)
 
     def test_rejects_layer_zero(self):
-        g = path(3)
-        l = bfs_layers(g, 0)
-        with pytest.raises(ValueError):
-            layered_spanning_tree(g, l, 0, 0)
+        g = Graph(4, [(0, 1), (0, 2), (0, 3)])
+        with pytest.raises(ValueError, match="layer index must be >= 1"):
+            assemble_certificate(g, bfs_layers(g, 0), 0, 0, [], 2, 0)
 
     def test_rejects_wrong_layer(self):
         g = path(3)
-        l = bfs_layers(g, 0)
-        with pytest.raises(ValueError):
-            layered_spanning_tree(g, l, 1, 2)
+        with pytest.raises(ValueError, match="vertex 2 is not in layer 1"):
+            assemble_certificate(g, bfs_layers(g, 0), 1, 2, [], 2, 0)
 
     def test_random_graphs_pass_checker(self):
         rng = random.Random(11)
+        checked = 0
         for _ in range(60):
             g = random_small_graph(rng, 9, n_min=2)
             l = bfs_layers(g, 0)
             for i in range(1, len(l.layers)):
+                if len(l.layers[i]) < 3:  # no room for u_i and a K_1 submodel
+                    continue
                 u_i = rng.choice(l.layers[i])
-                t = layered_spanning_tree(g, l, i, u_i)
-                check_layered_tree(g, l, i, u_i, t)
+                root, edges, colour = root_branch(g, i, u_i, l)
+                check_layered_tree(g, l, i, u_i, root, edges)
+                assert all(colour[a] != colour[b] for a, b in edges)
+                checked += 1
+        assert checked > 20
 
 
 class TestIsBipartite:

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -165,6 +166,14 @@ class TestCli:
         hp = write("k6.txt", serialize_graph(complete_graph(6)))
         code, out = run_cli(capsys, ["--cap", "3", "odd-minor", gp, hp])
         assert code == 1 and json.loads(out) == {"found": False}
+
+    def test_odd_minor_empty_pattern_ignores_the_cap(self, capsys, write):
+        # the empty model is in every graph, beyond the cap too
+        gp = write("c30.txt", serialize_graph(cycle_graph(30)))
+        hp = write("empty.txt", "p 0 0\n")
+        code, out = run_cli(capsys, ["odd-minor", gp, hp])
+        assert code == 0
+        assert json.loads(out) == {"found": True, "branch_sets": [], "tree_edges": [], "witness": {}}
 
     def test_colour_ok(self, capsys, write):
         gp = write("g.txt", serialize_graph(cycle_graph(6)))
@@ -376,17 +385,32 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "dec",
         [
-            {"nodes": 3, "edges": [[0, 1], [1, 2], [2, 0]], "bags": [[0, 1], [1, 2], [0, 2]]},
-            {"nodes": 2, "edges": [[0, 1], [0, 1]], "bags": [[0, 1], [1, 2]]},
-            {"nodes": 2, "edges": [[0, 5]], "bags": [[0, 1], [1, 2]]},
-            {"nodes": 3, "edges": [[0, 1], [1, 0]], "bags": [[0, 1], [1, 2], [2]]},
-            {"nodes": 2, "edges": [[0, 0]], "bags": [[0, 1], [1, 2]]},
-            {"nodes": 0, "edges": [], "bags": []},
-            {"nodes": 2, "edges": [[0, "1"]], "bags": [[0, 1], [1, 2]]},
-            {"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], [1, 2]], "width": "1"},
-            {"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], 2]},
-            {"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], [1, 2], [2]]},
-            {"nodes": 3, "edges": [[0, 1], [1, 2]], "bags": [[0, 1], [1, 2]]},
+            pytest.param(
+                {"nodes": 3, "edges": [[0, 1], [1, 2], [2, 0]], "bags": [[0, 1], [1, 2], [0, 2]]},
+                id="dec0",
+            ),
+            pytest.param(
+                {"nodes": 2, "edges": [[0, 1], [0, 1]], "bags": [[0, 1], [1, 2]]},
+                id="dec1",
+            ),
+            pytest.param({"nodes": 2, "edges": [[0, 5]], "bags": [[0, 1], [1, 2]]}, id="dec2"),
+            pytest.param(
+                {"nodes": 3, "edges": [[0, 1], [1, 0]], "bags": [[0, 1], [1, 2], [2]]},
+                id="dec3",
+            ),
+            pytest.param({"nodes": 2, "edges": [[0, 0]], "bags": [[0, 1], [1, 2]]}, id="dec4"),
+            pytest.param({"nodes": 0, "edges": [], "bags": []}, id="dec5"),
+            pytest.param({"nodes": 2, "edges": [[0, "1"]], "bags": [[0, 1], [1, 2]]}, id="dec6"),
+            pytest.param(
+                {"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], [1, 2]], "width": "1"},
+                id="dec7",
+            ),
+            pytest.param({"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], 2]}, id="dec8"),
+            pytest.param({"nodes": 2, "edges": [[0, 1]], "bags": [[0, 1], [1, 2], [2]]}, id="dec9"),
+            pytest.param(
+                {"nodes": 3, "edges": [[0, 1], [1, 2]], "bags": [[0, 1], [1, 2]]},
+                id="dec10",
+            ),
         ],
     )
     def test_decomposition_edges_must_form_a_tree(self, capsys, write, dec):
@@ -398,8 +422,11 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "dec",
         [
-            {"nodes": 2, "edges": [[1, 0]], "bags": [[0, 1], [1, 2]], "width": 1},
-            {"nodes": 1, "edges": [], "bags": [[0, 1, 2]]},
+            pytest.param(
+                {"nodes": 2, "edges": [[1, 0]], "bags": [[0, 1], [1, 2]], "width": 1},
+                id="dec0",
+            ),
+            pytest.param({"nodes": 1, "edges": [], "bags": [[0, 1, 2]]}, id="dec1"),
         ],
     )
     def test_tree_shaped_decomposition_still_verifies(self, capsys, write, dec):
@@ -412,15 +439,15 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "artifact",
         [
-            {k: v for k, v in cert_json().items() if k != "d"},
-            cert_json(h=0),
-            cert_json(h="1"),
-            cert_json(branch_sets=[["0", 1]]),
-            cert_json(tree_edges=[]),
-            cert_json(tree_edges=[[[0, 1, 2]]]),
-            cert_json(witness={"0": 0, "1": 2}),
-            cert_json(witness=[0, 1]),
-            cert_json(witness={"x": 0, "0": 0, "1": 1}),
+            pytest.param({k: v for k, v in cert_json().items() if k != "d"}, id="artifact0"),
+            pytest.param(cert_json(h=0), id="artifact1"),
+            pytest.param(cert_json(h="1"), id="artifact2"),
+            pytest.param(cert_json(branch_sets=[["0", 1]]), id="artifact3"),
+            pytest.param(cert_json(tree_edges=[]), id="artifact4"),
+            pytest.param(cert_json(tree_edges=[[[0, 1, 2]]]), id="artifact5"),
+            pytest.param(cert_json(witness={"0": 0, "1": 2}), id="artifact6"),
+            pytest.param(cert_json(witness=[0, 1]), id="artifact7"),
+            pytest.param(cert_json(witness={"x": 0, "0": 0, "1": 1}), id="artifact8"),
             pytest.param("[1, 2", id="bad-syntax"),
             pytest.param("[]", id="not-an-object"),
             pytest.param("[" * 100000, id="deep-nesting"),
@@ -430,8 +457,17 @@ class TestMalformedInputs:
         assert_parse_error(*verify_artifact(capsys, write, "model", artifact))
 
     def test_huge_integers(self, capsys, write):
-        code, err = verify_artifact(capsys, write, "model", cert_json(h=10**6, d=3))
-        assert code == 2 and err.startswith("resource limit:") and "Traceback" not in err
+        # U_{4096,1} = K_4096 passes the vertex cap; its 8 386 560 edges are
+        # refused from their count, before one is listed
+        for h, d in ((10**6, 3), (4096, 1)):
+            tracemalloc.start()
+            try:
+                code, err = verify_artifact(capsys, write, "model", cert_json(h=h, d=d))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and err.startswith("resource limit:") and "Traceback" not in err
+            assert peak < 50_000_000, (h, d)
         huge = '{"h": 1' + "0" * 5000 + ', "d": 1}'
         assert_parse_error(*verify_artifact(capsys, write, "model", huge))
 
@@ -441,12 +477,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "artifact",
         [
-            {"colours": [0, 1]},
-            {"colours": [0, 1, 0, 1]},
-            {"colours": [0, "1", 0]},
-            {"colours": [0, 1, 0], "budgets": {"colours": "2"}},
-            {"colours": [0, 1, 0], "budgets": [2, 1]},
-            {},
+            pytest.param({"colours": [0, 1]}, id="artifact0"),
+            pytest.param({"colours": [0, 1, 0, 1]}, id="artifact1"),
+            pytest.param({"colours": [0, "1", 0]}, id="artifact2"),
+            pytest.param({"colours": [0, 1, 0], "budgets": {"colours": "2"}}, id="artifact3"),
+            pytest.param({"colours": [0, 1, 0], "budgets": [2, 1]}, id="artifact4"),
+            pytest.param({}, id="artifact5"),
         ],
     )
     def test_colouring(self, capsys, write, artifact):

@@ -15,7 +15,6 @@ from oddcluster import (
 from oddcluster.errors import ResourceLimitError
 from oddcluster.oddmodel import (
     Model,
-    Witness,
     _connected_subsets,
     _max_edge_packing_bound,
     joining_edges,
@@ -67,34 +66,34 @@ class TestVerifyModel:
 class TestVerifyOddWitness:
     def test_both_red(self):
         m = Model(K2, {0: (0,), 1: (1,)}, {0: (), 1: ()})
-        ok, _ = verify_odd_witness(K2, m, Witness({0: 0, 1: 0}))
+        ok, _ = verify_odd_witness(K2, m, {0: 0, 1: 0})
         assert ok
 
     def test_red_blue_fails(self):
         m = Model(K2, {0: (0,), 1: (1,)}, {0: (), 1: ()})
-        ok, why = verify_odd_witness(K2, m, Witness({0: 0, 1: 1}))
+        ok, why = verify_odd_witness(K2, m, {0: 0, 1: 1})
         assert not ok and "monochromatic" in why
 
     def test_path_as_k2_model(self):
         g = path_graph(4)  # a-b-c-d = 0-1-2-3
         m = Model(K2, {0: (0, 1), 1: (2, 3)}, {0: ((0, 1),), 1: ((2, 3),)})
-        ok, why = verify_odd_witness(g, m, Witness({0: 0, 1: 1, 2: 1, 3: 0}))
+        ok, why = verify_odd_witness(g, m, {0: 0, 1: 1, 2: 1, 3: 0})
         assert ok, why
 
     def test_missing_vertex_is_reported(self):
         m = Model(K2, {0: (0,), 1: (1,)}, {0: (), 1: ()})
-        ok, why = verify_odd_witness(K2, m, Witness({0: 0}))
+        ok, why = verify_odd_witness(K2, m, {0: 0})
         assert not ok and "misses covered vertex 1" in why
 
     def test_tree_edge_leaving_the_witness_is_reported(self):
         m = Model(K1, {0: (0, 1)}, {0: ((1, 2),)})
-        ok, why = verify_odd_witness(path_graph(3), m, Witness({0: 0, 1: 1}))
+        ok, why = verify_odd_witness(path_graph(3), m, {0: 0, 1: 1})
         assert not ok and "uncoloured end" in why
 
     def test_monochromatic_tree_edge(self):
         g = path_graph(2)
         m = Model(K1, {0: (0, 1)}, {0: ((0, 1),)})
-        ok, why = verify_odd_witness(g, m, Witness({0: 0, 1: 0}))
+        ok, why = verify_odd_witness(g, m, {0: 0, 1: 0})
         assert not ok and "branch tree" in why
 
 
@@ -243,6 +242,11 @@ class TestFindOddModel:
         with pytest.raises(ResourceLimitError):
             find_odd_model(cycle_graph(6), complete_graph(6), cap=3)
 
+    def test_empty_pattern_is_answered_before_the_cap(self):
+        # every region holds the empty model, however large
+        model, witness = find_odd_model(cycle_graph(30), Graph(0), cap=24)
+        assert model.branch_sets == {} and witness == {}
+
     def test_region_restriction(self):
         g = cycle_graph(6)
         found = find_odd_model(g, K2, region=[0, 1])
@@ -366,7 +370,7 @@ class TestAgainstThePreviousSearch:
                     want = _reference_find_odd_model(g, h, region, require_nontrivial=nt)
                     assert got == want, (g, name, nt, region)
                     if got is not None:
-                        assert list(got[1].colour) == list(want[1].colour)
+                        assert list(got[1]) == list(want[1])
                         found += 1
         assert found > 100
 
@@ -496,4 +500,4 @@ def _reference_witness_search(g, pattern, order, sets):
         branch_sets={x: tuple(bs) for x, bs in sets.items()},
         branch_trees={x: bichromatic_bfs_tree(g, bs, chosen[x]) for x, bs in sets.items()},
     )
-    return model, Witness(colour=colour)
+    return model, colour

@@ -9,7 +9,7 @@ import types
 import pytest
 
 import oddcluster
-from oddcluster import RootedTree, decomposition, generators, graph, oddmodel
+from oddcluster import Layering, RootedTree, decomposition, generators, graph, oddmodel, treedepth
 
 EXPORTS = {
     "Budgets",
@@ -26,10 +26,8 @@ EXPORTS = {
     "RootedTree",
     "Target",
     "TreeDecomposition",
-    "Witness",
     "assemble_certificate",
     "bfs_layers",
-    "closure",
     "clustering_budget",
     "colour_bounded_tw",
     "colour_budget",
@@ -42,7 +40,6 @@ EXPORTS = {
     "heuristic_decomposition",
     "induced_subgraph",
     "is_nontrivial",
-    "layered_spanning_tree",
     "make_colouring",
     "min_colours_with_clustering",
     "odd_minor_oracle",
@@ -72,6 +69,12 @@ def test_exports_are_exactly_the_library_surface():
         (generators, "random_graph"),
         (RootedTree, "children"),
         (oddmodel, "parity_realizable"),
+        (oddmodel, "Witness"),
+        (graph, "layered_spanning_tree"),
+        (treedepth, "closure"),
+        (treedepth, "complete_dary_tree"),
+        (Layering, "layer_of"),
+        (RootedTree, "edges"),
     ],
 )
 def test_test_only_helpers_stay_out_of_the_library(owner, name):

@@ -1,17 +1,19 @@
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
 
-from oddcluster import Graph, RootedTree, closure, connected_tree_depth, tree_depth, u_graph
+from oddcluster import Graph, RootedTree, connected_tree_depth, tree_depth, u_graph
 from oddcluster.errors import ResourceLimitError
-from oddcluster.treedepth import (
-    _bit_components,
-    _TreeDepthSearch,
+from oddcluster.treedepth import _bit_components, _TreeDepthSearch, u_child_embedding
+from conftest import (
+    brute_tree_depth,
+    closure,
     complete_dary_tree,
-    u_child_embedding,
+    random_small_graph,
+    tree_children,
 )
-from conftest import brute_tree_depth, random_small_graph, tree_children
 
 
 def rooted_path(n):
@@ -62,20 +64,43 @@ class TestUGraph:
 
     def test_memoized_copy_is_the_closure(self):
         assert u_graph(3, 2) is u_graph(3, 2)
-        assert u_graph(3, 2) == closure(complete_dary_tree(3, 2))
+        for h in range(1, 8):
+            for d in range(1, 6):
+                try:
+                    want = closure(complete_dary_tree(h, d))
+                except ResourceLimitError:
+                    with pytest.raises(ResourceLimitError):
+                        u_graph(h, d)
+                    continue
+                assert u_graph(h, d) == want, (h, d)
 
     @pytest.mark.parametrize(
         "h, d",
-        [(13, 2), (2, 4096), (4097, 1), (10**6, 3), pytest.param(10**4000, 2, id="1e4000-2")],
+        [
+            (13, 2),
+            (2, 4096),
+            (4097, 1),
+            (10**6, 3),
+            pytest.param(10**4000, 2, id="1e4000-2"),
+            (4096, 1),
+        ],
     )
     def test_size_cap_on_huge_arguments(self, h, d):
-        # the cap must stop the count before it forms d**h or formats a huge count
-        with pytest.raises(ResourceLimitError):
-            complete_dary_tree(h, d)
+        # the caps must stop the count before it forms d**h, formats a huge
+        # count or lists an edge: U_{4096,1} = K_4096 passes the vertex cap
+        # with 8 386 560 edges
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                u_graph(h, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
-    @pytest.mark.parametrize("h, d, n", [(12, 2, 4095), (2, 4095, 4096), (4096, 1, 4096)])
+    @pytest.mark.parametrize("h, d, n", [(12, 2, 4095), (2, 4095, 4096)])
     def test_largest_trees_under_the_cap(self, h, d, n):
-        assert len(complete_dary_tree(h, d).vertices()) == n
+        assert u_graph(h, d).n == n
 
     def test_root_is_dominant(self):
         g = u_graph(3, 2)
