@@ -15,7 +15,6 @@ from .errors import (
 from .graph import (
     Graph,
     Layering,
-    RootedTree,
     bfs_layers,
     connected_components,
     induced_subgraph,

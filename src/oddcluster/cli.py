@@ -91,10 +91,16 @@ def _float_in(lo, hi):
 
 
 def _read(path):
+    """The text of a file, or of stdin for ``-``, decoded as UTF-8 whatever the locale."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(None, f"input is not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
 def _load_graph(path):
@@ -130,8 +136,8 @@ def cmd_metric(args):
         witness = decomposition_to_json(dec)
     else:
         search = tree_depth if args.metric == "td" else connected_tree_depth
-        value, forest = search(g, cap=args.cap or TREE_DEPTH_CAP)
-        witness = forest_to_json(forest)
+        value, parent = search(g, cap=args.cap or TREE_DEPTH_CAP)
+        witness = forest_to_json(parent)
     _emit({"metric": args.metric, "value": value, "witness": witness})
     return EXIT_OK
 

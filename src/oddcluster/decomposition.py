@@ -102,10 +102,12 @@ def validate_decomposition(g, dec):
     traces meet, and a trace of t nodes is connected iff exactly t - 1 tree
     edges join two of its nodes.
     """
-    for b in dec.bags:
-        for v in b:
+    for x, b in enumerate(dec.bags):
+        for i, v in enumerate(b):  # bags are sorted, so a repeat is next to its first copy
             if not 0 <= v < g.n:
                 return False, f"bag contains invalid vertex {v}"
+            if i and b[i - 1] == v:
+                return False, f"bag {x} repeats vertex {v}"
     trace = {v: set(nodes) for v, nodes in dec.trace.items()}
     for a, b in g.edges:
         if trace.get(a, set()).isdisjoint(trace.get(b, ())):

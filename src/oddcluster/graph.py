@@ -1,4 +1,4 @@
-"""Simple undirected graphs, rooted trees, and BFS-layer primitives.
+"""Simple undirected graphs and BFS-layer primitives.
 
 Vertices are dense integer indices 0..n-1.  All set-valued outputs are
 sorted ascending so that repeated runs produce identical results.
@@ -78,55 +78,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
-
-
-class RootedTree:
-    """A rooted tree or forest given by a child -> parent map.
-
-    Every vertex that is not a key of ``parent`` must appear in ``roots``.
-    """
-
-    __slots__ = ("parent", "roots")
-
-    def __init__(self, parent, roots):
-        self.parent = dict(parent)
-        self.roots = tuple(sorted(roots))
-        if not self.roots and self.parent:
-            raise ValueError("non-empty forest needs at least one root")
-        rootset = set(self.roots)
-        if rootset & set(self.parent):
-            raise ValueError("a root cannot also have a parent")
-        # every vertex must reach a root; vertices already known to reach one
-        # end later walks, so each vertex is walked over once
-        reaches_root = set(rootset)
-        for v in self.parent:
-            walk = set()
-            while v not in reaches_root:
-                if v in walk or v not in self.parent:
-                    raise ValueError("parent map contains a cycle or dangling vertex")
-                walk.add(v)
-                v = self.parent[v]
-            reaches_root |= walk
-
-    def vertices(self):
-        return set(self.roots) | set(self.parent)
-
-    def depth(self, v):
-        """Number of edges from v to its root."""
-        d = 0
-        while v in self.parent:
-            v = self.parent[v]
-            d += 1
-        return d
-
-    def vertex_height(self):
-        """Maximum number of vertices on a root-to-leaf path."""
-        if not self.vertices():
-            return 0
-        return 1 + max(self.depth(v) for v in self.vertices())
-
-    def __repr__(self):
-        return f"RootedTree(roots={self.roots}, edges={len(self.parent)})"
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ ParseError, so the verifiers only ever see well-typed values.
 import json
 
 from .errors import ParseError
-from .graph import Graph, bfs_tree, check_graph_size
+from .graph import MAX_VERTICES, Graph, bfs_tree, check_graph_size
 from .decomposition import preorder_decomposition
 from .oddmodel import Model
 from .colouring import OddModelCertificate
@@ -72,10 +72,17 @@ def parse_partition(text, n):
     raise ParseError(1, "empty partition file")
 
 
-def forest_to_json(tree):
-    verts = sorted(tree.vertices())
-    parent = [tree.parent.get(v, -1) for v in verts]
-    return {"parent": parent, "roots": list(tree.roots), "vertex_height": tree.vertex_height()}
+def forest_to_json(parent):
+    """A rooted forest on 0..n-1, given by its parent array (-1 at a root)."""
+
+    def height(v):  # the vertices from v up to its root
+        return 0 if v < 0 else 1 + height(parent[v])
+
+    return {
+        "parent": list(parent),
+        "roots": [v for v, p in enumerate(parent) if p == -1],
+        "vertex_height": max(map(height, range(len(parent))), default=0),
+    }
 
 
 def colouring_to_json(g, colouring, budgets=None):
@@ -125,6 +132,14 @@ def _int_lists(x, size):
     )
 
 
+def _is_vertex_key(key):
+    """True iff ``key`` is ``str(v)`` for an index v with no more digits than a vertex can have.
+
+    The digits are checked before ``int`` reads them, so an overlong key never reaches it.
+    """
+    return key.isascii() and key.isdigit() and len(key) <= len(str(MAX_VERTICES)) and key == str(int(key))
+
+
 def certificate_from_json(data):
     h, d, sets, trees, witness = map(data.get, ("h", "d", "branch_sets", "tree_edges", "witness"))
     _require(type(h) is type(d) is int and min(h, d) >= 1, "'h' and 'd' must be positive integers")
@@ -137,8 +152,8 @@ def certificate_from_json(data):
     )
     _require(
         isinstance(witness, dict)
-        and all(v.isdecimal() and type(c) is int and c in (0, 1) for v, c in witness.items()),
-        "'witness' must map vertices to 0 or 1",
+        and all(_is_vertex_key(v) and type(c) is int and c in (0, 1) for v, c in witness.items()),
+        "'witness' must map vertices, each written as str(v), to 0 or 1",
     )
     colour = {int(v): c for v, c in witness.items()}
     model = Model(

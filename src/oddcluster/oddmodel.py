@@ -66,7 +66,7 @@ def verify_model(g, model):
     h = model.pattern
     if set(model.branch_sets) != set(range(h.n)):
         return False, "branch sets do not cover the pattern's vertices"
-    seen = set()
+    owner = {}
     for x in range(h.n):
         bs = model.branch_sets[x]
         if not bs:
@@ -74,9 +74,11 @@ def verify_model(g, model):
         for v in bs:
             if not 0 <= v < g.n:
                 return False, f"branch set of {x} contains invalid vertex {v}"
-            if v in seen:
+            if owner.get(v) == x:
+                return False, f"branch set of {x} repeats vertex {v}"
+            if v in owner:
                 return False, f"vertex {v} appears in two branch sets"
-            seen.add(v)
+            owner[v] = x
     for x in range(h.n):
         if not _is_spanning_tree(model.branch_trees.get(x, ()), model.branch_sets[x], g):
             return False, f"branch tree of pattern vertex {x} is not a spanning tree"

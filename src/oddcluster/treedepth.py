@@ -8,7 +8,7 @@ the default cap is 20 vertices.
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .graph import Graph, RootedTree, check_graph_size
+from .graph import Graph, check_graph_size
 
 TREE_DEPTH_CAP = 20
 U_GRAPH_VERTEX_CAP = 4096
@@ -117,39 +117,32 @@ class _TreeDepthSearch:
         self.memo[mask] = (best, best_v)
         return best
 
-    def tree_witness(self, mask):
-        """Parent map and root of a rooted tree of height ``connected_value(mask)``."""
-        self.connected_value(mask)
-        root = self.memo[mask][1]
-        parent, sub_roots = self.forest_witness(mask & ~(1 << root))
-        parent.update(dict.fromkeys(sub_roots, root))
-        return parent, root
+    def hang(self, parent, mask, above):
+        """Write an optimal rooted forest of the subgraph induced on ``mask`` into ``parent``.
 
-    def forest_witness(self, mask):
-        """Parent map and roots of an optimal rooted forest for the induced subgraph."""
-        parent = {}
-        roots = []
+        Each component's memoised root hangs below ``above`` (-1: it is a
+        root), and the rest of the component hangs below that root.
+        """
         for comp in _bit_components(self.adj, mask):
-            below, root = self.tree_witness(comp)
-            parent.update(below)
-            roots.append(root)
-        return parent, roots
+            self.connected_value(comp)
+            root = self.memo[comp][1]
+            parent[root] = above
+            self.hang(parent, comp & ~(1 << root), root)
 
 
 def tree_depth(g, cap=TREE_DEPTH_CAP):
-    """Exact tree-depth with an optimal rooted-forest witness.
+    """Exact tree-depth with an optimal rooted-forest witness ``parent``.
 
-    The witness spans V(G) and its closure contains G as a subgraph.
+    ``parent[v]`` is v's parent, -1 at a root; the closure of the forest
+    contains G as a subgraph.
     """
     if g.n > cap:
         raise ResourceLimitError(f"tree-depth search capped at {cap} vertices, got {g.n}")
-    if g.n == 0:
-        return 0, RootedTree(parent={}, roots=())
     search = _TreeDepthSearch(g)
     full = (1 << g.n) - 1
-    value = search.forest_value(full)
-    parent, roots = search.forest_witness(full)
-    return value, RootedTree(parent=parent, roots=roots)
+    parent = [-1] * g.n
+    search.hang(parent, full, -1)
+    return search.forest_value(full), parent
 
 
 def connected_tree_depth(g, cap=TREE_DEPTH_CAP):
@@ -157,7 +150,8 @@ def connected_tree_depth(g, cap=TREE_DEPTH_CAP):
 
     This is 1 + min over roots r of td(G - r): removing the root of the
     witness tree leaves a rooted forest that must accommodate G - r, and
-    conversely any such forest hangs below r.
+    conversely any such forest hangs below r.  The witness is a parent
+    array, as for ``tree_depth``, with exactly one -1.
     """
     if g.n == 0:
         raise ValueError("connected tree-depth needs at least one vertex")
@@ -165,6 +159,8 @@ def connected_tree_depth(g, cap=TREE_DEPTH_CAP):
         raise ResourceLimitError(f"tree-depth search capped at {cap} vertices, got {g.n}")
     search = _TreeDepthSearch(g)
     full = (1 << g.n) - 1
-    parent, root = search.tree_witness(full)
-    return search.connected_value(full), RootedTree(parent=parent, roots=(root,))
-
+    value = search.connected_value(full)
+    root = search.memo[full][1]
+    parent = [-1] * g.n
+    search.hang(parent, full & ~(1 << root), root)
+    return value, parent

@@ -6,13 +6,15 @@ helpers at the end (bipartiteness with odd-cycle extraction, the single-bag
 decomposition, small graph families, the closure of a rooted forest and
 the complete d-ary tree that ``u_graph`` is checked against, a forest's
 children lists and the parity test of a branch-set colouring) are used only
-by the tests, so they live here rather than in the library.
+by the tests, so they live here rather than in the library.  A rooted
+forest is a parent array, as the tree-depth witnesses are: ``parent[v]`` is
+v's parent, -1 at a root.
 """
 
 import random
 from itertools import combinations, permutations
 
-from oddcluster import Graph, RootedTree, TreeDecomposition
+from oddcluster import Graph, TreeDecomposition
 from oddcluster.errors import ResourceLimitError
 from oddcluster.graph import bfs_tree, reach
 from oddcluster.treedepth import U_GRAPH_VERTEX_CAP
@@ -194,22 +196,31 @@ def random_graph(n, p, seed):
     return Graph(n, edges)
 
 
-def closure(tree):
+def closure(parent):
     """Graph joining every vertex of a rooted forest to all its strict ancestors."""
-    verts = sorted(tree.vertices())
-    if verts != list(range(len(verts))):
-        raise ValueError("closure expects dense vertex indices 0..n-1")
     edges = []
-    for v in verts:
-        a = v
-        while a in tree.parent:
-            a = tree.parent[a]
+    for v in range(len(parent)):
+        a = parent[v]
+        while a >= 0:
             edges.append((v, a))
-    return Graph(len(verts), edges)
+            a = parent[a]
+    return Graph(len(parent), edges)
+
+
+def forest_height(parent):
+    """Vertex-height of a rooted forest: the most vertices on a path from a vertex up to its root."""
+    best = 0
+    for v in range(len(parent)):
+        k = 0
+        while v >= 0:
+            v, k = parent[v], k + 1
+            assert k <= len(parent), "the parent array has a cycle"
+        best = max(best, k)
+    return best
 
 
 def complete_dary_tree(h, d):
-    """Complete d-ary tree of vertex-height h, vertices in BFS order (root 0)."""
+    """Parent array of the complete d-ary tree of vertex-height h, in BFS order (root 0)."""
     if h < 1 or d < 1:
         raise ValueError("h and d must be >= 1")
     n, level = 0, 1
@@ -217,18 +228,16 @@ def complete_dary_tree(h, d):
         n, level = n + level, level * d
         if n > U_GRAPH_VERTEX_CAP:
             raise ResourceLimitError(f"U_{{{h},{d}}} has over {U_GRAPH_VERTEX_CAP} vertices")
-    parent = {v: (v - 1) // d for v in range(1, n)}
-    return RootedTree(parent=parent, roots=(0,))
+    return [-1] + [(v - 1) // d for v in range(1, n)]
 
 
-def tree_children(tree):
-    """Sorted children lists ``{v: [c, ...]}`` of a ``RootedTree``, one per vertex."""
-    ch = {v: [] for v in tree.vertices()}
-    for c, p in tree.parent.items():
-        ch[p].append(c)
-    for v in ch:
-        ch[v].sort()
-    return ch
+def tree_children(parent):
+    """Children lists ``[[c, ...], ...]`` of a rooted forest, each ascending."""
+    children = [[] for _ in parent]
+    for c, p in enumerate(parent):
+        if p >= 0:
+            children[p].append(c)
+    return children
 
 
 RED = 0

@@ -38,6 +38,7 @@ from oddcluster.generators import (
 from conftest import (
     brute_tree_depth,
     brute_treewidth,
+    forest_height,
     is_bipartite,
     path_graph,
     random_small_graph,
@@ -158,7 +159,7 @@ def test_criterion_5_ctd_of_u_family():
         for d in (1, 2, 3):
             value, witness = connected_tree_depth(u_graph(h, d))
             assert value == h, (h, d, value)
-            assert witness.vertex_height() == h
+            assert forest_height(witness) == h
     report("criterion 5 PASS: ctd(U_{h,d}) = h for all h,d in {1,2,3}")
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from oddcluster import (
     Graph,
-    RootedTree,
     TreeDecomposition,
     exact_treewidth,
     heuristic_decomposition,
@@ -56,11 +55,12 @@ class TestValidate:
         ok, why = validate_decomposition(g, dec)
         assert not ok and "vertex 0" in why
 
-
     def test_repeated_vertex_in_a_bag(self):
+        # a repeat would count twice in the width: (0, 1, 1) is a bag of 2 vertices, not 3
         g = Graph(3, [(0, 1), (1, 2)])
         dec = TreeDecomposition((-1, 0), [(0, 1, 1), (1, 2)])
-        assert validate_decomposition(g, dec) == reference_validate(g, dec) == (True, None)
+        want = (False, "bag 0 repeats vertex 1")
+        assert validate_decomposition(g, dec) == reference_validate(g, dec) == want
 
 
 class TestExactTreewidth:
@@ -306,12 +306,18 @@ def reference_min_fill_order(g):
 
 
 def reference_validate(g, dec):
-    """Validation as first written: one scan over every node per edge and per vertex."""
+    """Validation as first written: one scan over every node per edge and per vertex.
+
+    A vertex listed twice in one bag, once let through with the repeat counted
+    in the width, is reported too.
+    """
     nodes = set(range(dec.num_nodes))
-    for b in dec.bags:
-        for v in b:
+    for x, b in enumerate(dec.bags):
+        for i, v in enumerate(b):
             if not 0 <= v < g.n:
                 return False, f"bag contains invalid vertex {v}"
+            if v in b[:i]:
+                return False, f"bag {x} repeats vertex {v}"
     for a, b in g.edges:
         if not any(a in bag and b in bag for bag in dec.bags):
             return False, f"edge ({a},{b}) not covered by any bag"
@@ -524,42 +530,46 @@ class TestAgainstReferences:
             assert validate_decomposition(g, mutated) == reference_validate(g, mutated)
 
 
-# The trace-index representation as first written: a RootedTree over BFS
+# The trace-index representation as first written: a rooted tree over BFS
 # node ids, restriction through pre-order entry/exit times, and post-order
 # from the tree's children lists.  The parent-array code must reproduce it.
+# A reference tree is a parent array (-1 at a root) in those node ids.
 
 
 def reference_from_order(g, order):
-    """decomposition_from_order as first written: a (RootedTree, bags) pair in BFS node ids."""
+    """decomposition_from_order as first written: a (parent array, bags) pair in BFS node ids."""
     from oddcluster.decomposition import _eliminate
 
     if g.n == 0:
-        return RootedTree(parent={}, roots=(0,)), [()]
+        return (-1,), [()]
     adj = [set(s) for s in g.adj]
     bags = []
     pos = {v: i for i, v in enumerate(order)}
     for v in order:
         bags.append(adj[v] | {v})
         _eliminate(adj, v)
-    parent = {}
+    parent = [-1] * len(order)
     for i, v in enumerate(order[:-1]):
         later = [u for u in bags[i] if u != v]
         parent[i] = pos[min(later, key=lambda u: pos[u])] if later else i + 1
-    return reference_normalize(RootedTree(parent=parent, roots=(len(order) - 1,)), bags)
+    return reference_normalize(parent, bags)
 
 
 def reference_normalize(tree, bags):
     """Re-root at node 0 by a BFS renumbering, children by minimum bag element."""
     children = tree_children(tree)
-    root = tree.roots[0]
+    root = tree.index(-1)
     new_id = {root: 0}
     order = [root]
     for x in order:
         for y in sorted(children[x], key=lambda y: (min(bags[y]) if bags[y] else -1, y)):
             new_id[y] = len(new_id)
             order.append(y)
-    parent = {new_id[c]: new_id[p] for c, p in tree.parent.items()}
-    return RootedTree(parent=parent, roots=(0,)), [tuple(sorted(bags[x])) for x in order]
+    parent = [-1] * len(tree)
+    for c, p in enumerate(tree):
+        if p >= 0:
+            parent[new_id[c]] = new_id[p]
+    return tuple(parent), [tuple(sorted(bags[x])) for x in order]
 
 
 def reference_restrict(tree, bags, xs):
@@ -567,20 +577,17 @@ def reference_restrict(tree, bags, xs):
     children = tree_children(tree)
     n = len(bags)
     order = []
-    stack = list(reversed(tree.roots))
+    stack = [x for x in reversed(range(n)) if tree[x] < 0]
     while stack:
         x = stack.pop()
         order.append(x)
         stack.extend(reversed(children[x]))
-    up = [-1] * n
-    for c, p in tree.parent.items():
-        up[c] = p
     tin, size = [0] * n, [1] * n
     for i, x in enumerate(order):
         tin[x] = i
     for x in reversed(order):
-        if up[x] >= 0:
-            size[up[x]] += size[x]
+        if tree[x] >= 0:
+            size[tree[x]] += size[x]
     tout = [tin[x] + size[x] for x in range(n)]
     trace = {}
     for x in order:
@@ -593,36 +600,30 @@ def reference_restrict(tree, bags, xs):
         return tree, bags
     hits = sorted({x for v in xs for x in trace.get(v, ())}, key=tin.__getitem__)
     if not hits:
-        return RootedTree(parent={}, roots=(0,)), [()]
+        return (-1,), [()]
     nodes = hits
     new_id = {x: i for i, x in enumerate(nodes)}
-    parent, roots, ancestors = {}, [], []
+    parent, ancestors = [-1] * len(nodes), []
     for x in nodes:
         while ancestors and tout[ancestors[-1]] <= tin[x]:
             ancestors.pop()
         if ancestors:
             parent[new_id[x]] = new_id[ancestors[-1]]
-        else:
-            roots.append(new_id[x])
         ancestors.append(x)
-    return RootedTree(parent=parent, roots=roots), [tuple(v for v in bags[x] if v in xs) for x in nodes]
+    return tuple(parent), [tuple(v for v in bags[x] if v in xs) for x in nodes]
 
 
 def reference_postorder(tree):
     """Post-order from the children lists, roots and children in index order."""
     children = tree_children(tree)
     out = []
-    stack = list(tree.roots)
+    stack = [x for x, p in enumerate(tree) if p < 0]
     while stack:
         x = stack.pop()
         out.append(x)
         stack.extend(children[x])
     out.reverse()
     return out
-
-
-def parent_array(tree, n):
-    return tuple(tree.parent.get(x, -1) for x in range(n))
 
 
 def walk(dec):
@@ -635,8 +636,8 @@ def reference_walk(tree, bags):
     unions = [set(b) for b in bags]
     post = reference_postorder(tree)
     for x in post:
-        if x in tree.parent:
-            unions[tree.parent[x]] |= unions[x]
+        if tree[x] >= 0:
+            unions[tree[x]] |= unions[x]
     return [(tuple(bags[x]), unions[x]) for x in post]
 
 
@@ -650,14 +651,14 @@ def assert_same_restrictions(dec, tree, bags, domains):
         if got is dec:
             assert (rtree, rbags) == (tree, bags)
             continue
-        assert got.parent == parent_array(rtree, len(rbags))
+        assert got.parent == rtree
         assert got.bags == tuple(rbags)
         inner = sorted(xs)[::2]
         again = restrict_decomposition(got, inner)
         rtree2, rbags2 = reference_restrict(rtree, rbags, inner)
         assert walk(again) == reference_walk(rtree2, rbags2)
         if again is not got:
-            assert again.parent == parent_array(rtree2, len(rbags2))
+            assert again.parent == rtree2
             assert again.bags == tuple(rbags2)
 
 
@@ -723,12 +724,13 @@ class TestPreorderAgainstTraceIndex:
             ids = list(range(n))
             rng.shuffle(ids)  # node ids in no tree order
             roots = sorted(ids[: rng.randint(1, 3)])
-            parent = {ids[i]: ids[rng.randrange(i)] for i in range(len(roots), n)}
-            tree = RootedTree(parent=parent, roots=roots)
+            tree = [-1] * n
+            for i in range(len(roots), n):
+                tree[ids[i]] = ids[rng.randrange(i)]
             bags = [tuple(sorted(rng.sample(range(12), rng.randint(0, 4)))) for _ in range(n)]
             dec = preorder_decomposition(tree_children(tree), roots, bags)
             domains = [rng.sample(range(12), rng.randint(0, 12)) for _ in range(6)]
-            assert_same_restrictions(dec, tree, bags, domains)
+            assert_same_restrictions(dec, tuple(tree), bags, domains)
 
     @pytest.mark.parametrize(
         "parent",
@@ -749,9 +751,8 @@ class TestPreorderAgainstTraceIndex:
             n = rng.randint(1, 9)
             parent = [-1] + [rng.randrange(-1, x) for x in range(1, n)]
             roots = [x for x in range(n) if parent[x] < 0]
-            tree = RootedTree({x: p for x, p in enumerate(parent) if p >= 0}, roots)
             # in pre-order iff renumbering in pre-order, children by id, changes no id
-            ids = preorder_decomposition(tree_children(tree), tree.roots, [(x,) for x in range(n)]).bags
+            ids = preorder_decomposition(tree_children(parent), roots, [(x,) for x in range(n)]).bags
             in_preorder = ids == tuple((x,) for x in range(n))
             try:
                 dec = TreeDecomposition(parent, [()] * n)

@@ -4,6 +4,10 @@ The digests were recorded before the colour recursion stopped copying
 sub-problems into relabelled graphs.  Every relabelling that copying did was
 monotone, so no sorted order and no output may change; a refactor of the
 recursion that moves one of these digests has changed behaviour.
+
+The ``metric td`` / ``metric ctd`` digests were recorded while the tree-depth
+witness was still a ``RootedTree`` object; they pin the parent arrays, the
+roots and the vertex-height that the JSON prints.
 """
 
 import hashlib
@@ -12,10 +16,18 @@ import random
 
 import pytest
 
-from oddcluster import Budgets, Graph, OddModelCertificate, colour_bounded_tw, colour_pipeline
+from oddcluster import (
+    Budgets,
+    Graph,
+    OddModelCertificate,
+    colour_bounded_tw,
+    colour_pipeline,
+    u_graph,
+)
+from oddcluster.cli import main
 from oddcluster.decomposition import decompose
 from oddcluster.generators import complete_graph, cycle_graph, random_partial_ktree, star_graph
-from oddcluster.io import certificate_to_json, colouring_to_json
+from oddcluster.io import certificate_to_json, colouring_to_json, serialize_graph
 
 
 def strip(length, width):
@@ -122,3 +134,39 @@ def test_cases_cover_both_verdicts():
     assert kinds["strip-20x3-h2d2-certificate"]
     assert kinds["pipeline-partial-2-tree-50-p3-certificate"]
     assert not all(kinds.values())
+
+
+METRIC_GRAPHS = {
+    "empty": lambda: Graph(0),
+    "cycle-7": lambda: cycle_graph(7),
+    "u-3-2": lambda: u_graph(3, 2),
+    "union-cycle-5-star-4": lambda: disjoint_union(cycle_graph(5), star_graph(4)),
+    "complete-5": lambda: complete_graph(5),
+    "partial-2-tree-16-seed-7": lambda: random_partial_ktree(16, 2, 7),
+}
+
+METRIC_GOLDEN = {
+    "td-empty": "58ad1885621965801710d68362289b8f2993e4a6abb73483e7bdee7c41b697f7",
+    "td-cycle-7": "e70b8441dadfb868dc4b75bdc7f09e659bace42ddd52c4816430b6fee77d0c9d",
+    "ctd-cycle-7": "fce806f3c9608accbf12d70de481dbf39b4ba40372fb875151630fb0b9aed104",
+    "td-u-3-2": "6d8ee41df3fd7fe845b7b75c5438d0f92448d2f33e39d533ae9a2ae13ed774e9",
+    "ctd-u-3-2": "9d25a372581894046dfb2a8337c26ac80e0532bacecbdeaa7cba9e1e867f938d",
+    "td-union-cycle-5-star-4": "16cccd20551323373a70e35126a521c557c72f89c22a12bedd3cf53e76845a64",
+    "ctd-union-cycle-5-star-4": "0555c47ccc5e67f8f7e55432933af6cf53a902d666c951a6d954df2b9758d0e0",
+    "td-complete-5": "3b2e82315f88df48420cf03cbfcd4346df94702c79a05b79afc485f54be70292",
+    "ctd-complete-5": "6af01dc206e629a515fd6def18e6b5065b747e1414fa1a13d76086439c59d56b",
+    "td-partial-2-tree-16-seed-7": "7d49db1431dea7a749256832867f3cc6b7417054f747faf7633b0743b4941a7b",
+    "ctd-partial-2-tree-16-seed-7": "9d4f0d0027a83e6da054643534c1edc3aa077198071ee10d14e7f9d2584cbd7c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_GOLDEN))
+def test_metric_json_is_unchanged(name, capsys, tmp_path):
+    """The text ``oddcluster metric td|ctd`` prints for each graph (`partial-2-tree-16-seed-7`
+    is `gen partial-ktree --n 16 --k 2 --seed 7`)."""
+    metric, graph = name.split("-", 1)
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(METRIC_GRAPHS[graph]()))
+    assert main(["metric", metric, str(path)]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == METRIC_GOLDEN[name]

@@ -7,7 +7,6 @@ import pytest
 from oddcluster import (
     Graph,
     Model,
-    RootedTree,
     assemble_certificate,
     bfs_layers,
     connected_components,
@@ -259,25 +258,6 @@ def _check_odd_cycle(g, cyc):
     assert len(set(cyc)) == len(cyc)
     for i, v in enumerate(cyc):
         assert g.has_edge(v, cyc[(i + 1) % len(cyc)])
-
-
-class TestRootedTree:
-    def test_long_path(self):
-        n = 20000
-        tree = RootedTree(parent={i: i - 1 for i in range(1, n)}, roots=(0,))
-        assert tree.vertices() == set(range(n))
-
-    def test_rejects_cycle(self):
-        with pytest.raises(ValueError):
-            RootedTree(parent={1: 0, 2: 3, 3: 2}, roots=(0,))
-
-    def test_rejects_dangling_parent(self):
-        with pytest.raises(ValueError):
-            RootedTree(parent={1: 0, 2: 5}, roots=(0,))
-
-    def test_rejects_root_with_parent(self):
-        with pytest.raises(ValueError):
-            RootedTree(parent={0: 1}, roots=(0, 1))
 
 
 class TestInducedSubgraph:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import re
 import shlex
@@ -78,10 +79,10 @@ class TestPartitionFormat:
 
 class TestJsonRoundTrips:
     def test_forest_json(self):
-        _, witness = tree_depth(cycle_graph(4))
-        data = forest_to_json(witness)
-        assert data["vertex_height"] == 3
-        assert sum(1 for p in data["parent"] if p == -1) == len(data["roots"])
+        _, parent = tree_depth(cycle_graph(4))
+        data = forest_to_json(parent)
+        assert data["parent"] == parent and data["vertex_height"] == 3
+        assert data["roots"] == [v for v, p in enumerate(parent) if p == -1]
 
     def test_decomposition_json(self):
         g = cycle_graph(6)
@@ -255,6 +256,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
         assert captured.err == "error: supplied decomposition is invalid: stored width 99 != recomputed 2\n"
+
+    def test_a_repeated_bag_vertex_fails_verify_and_colour_alike(self, capsys, write):
+        # repeats would inflate the width, and with it the clustering budget colour checks against
+        gp = write("c6.txt", serialize_graph(cycle_graph(6)))
+        witness = json.loads(run_cli(capsys, ["metric", "tw", gp])[1])["witness"]
+        bags = [witness["bags"][0] * 10, *witness["bags"][1:]]
+        bad = write("bad.json", json.dumps({**witness, "bags": bags, "width": 9}))
+        why = f"bag 0 repeats vertex {bags[0][0]}"
+        code, out = run_cli(capsys, ["verify", "decomposition", gp, bad])
+        assert code == 1 and json.loads(out) == {"ok": False, "violation": why}
+        code = main(["colour", gp, "--h", "2", "--d", "2", "--decomposition", bad])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err == f"error: supplied decomposition is invalid: {why}\n"
 
     def test_pipeline_partition(self, capsys, write):
         gp = write("g.txt", serialize_graph(cycle_graph(6)))
@@ -448,6 +463,9 @@ class TestMalformedInputs:
             pytest.param(cert_json(witness={"0": 0, "1": 2}), id="artifact6"),
             pytest.param(cert_json(witness=[0, 1]), id="artifact7"),
             pytest.param(cert_json(witness={"x": 0, "0": 0, "1": 1}), id="artifact8"),
+            pytest.param(cert_json(witness={"0": 0, "1": 1, "1" + "0" * 4999: 0}), id="witness-key-5000-digits"),
+            pytest.param(cert_json(witness={"0": 0, "1": 1, "01": 0}), id="witness-key-leading-zero"),
+            pytest.param(cert_json(witness={"0": 0, "1": 1, "\u0661": 0}), id="witness-key-arabic-indic-digit"),
             pytest.param("[1, 2", id="bad-syntax"),
             pytest.param("[]", id="not-an-object"),
             pytest.param("[" * 100000, id="deep-nesting"),
@@ -470,6 +488,28 @@ class TestMalformedInputs:
             assert peak < 50_000_000, (h, d)
         huge = '{"h": 1' + "0" * 5000 + ', "d": 1}'
         assert_parse_error(*verify_artifact(capsys, write, "model", huge))
+
+    def test_non_utf8_graph_file(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(P3.encode() + b"# \xff\n")  # a valid graph but for one byte in a comment
+        assert_parse_error(main(["metric", "td", str(path)]), capsys.readouterr().err)
+
+    def test_non_utf8_artifact_file(self, capsys, write, tmp_path):
+        path = tmp_path / "colouring.json"
+        path.write_bytes(b'{"colours": [0, 1, 0], "note": "\xff"}')
+        code = main(["verify", "colouring", write("g.txt", P3), str(path)])
+        assert_parse_error(code, capsys.readouterr().err)
+
+    def test_non_utf8_stdin_in_a_subprocess(self):
+        # stdin decoded as Latin-1 would read 0xff as a character of the comment
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddcluster.cli", "metric", "td", "-"],
+            input=P3.encode() + b"# \xff\n",
+            capture_output=True,
+            env={**os.environ, "PYTHONIOENCODING": "latin-1"},
+        )
+        lines = proc.stderr.decode().splitlines()
+        assert proc.returncode == 2 and len(lines) == 1 and lines[0].startswith("parse error:")
 
     def test_valid_model_still_verifies(self, capsys, write):
         assert verify_artifact(capsys, write, "model", cert_json())[0] == 0

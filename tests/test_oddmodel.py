@@ -56,6 +56,10 @@ class TestVerifyModel:
         ok, why = verify_model(K2, m)
         assert not ok and "two branch sets" in why
 
+    def test_a_set_that_repeats_a_vertex(self):
+        m = Model(K2, {0: (0, 1, 0), 1: (2,)}, {0: ((0, 1),), 1: ()})
+        assert verify_model(path_graph(3), m) == (False, "branch set of 0 repeats vertex 0")
+
     def test_broken_tree(self):
         g = path_graph(4)
         m = Model(K1, {0: (0, 1, 3)}, {0: ((0, 1),)})

@@ -4,30 +4,26 @@ from itertools import combinations, permutations
 
 import pytest
 
-from oddcluster import Graph, RootedTree, connected_tree_depth, tree_depth, u_graph
+from oddcluster import Graph, connected_tree_depth, tree_depth, u_graph
 from oddcluster.errors import ResourceLimitError
 from oddcluster.treedepth import _bit_components, _TreeDepthSearch, u_child_embedding
 from conftest import (
     brute_tree_depth,
     closure,
     complete_dary_tree,
+    forest_height,
     random_small_graph,
     tree_children,
 )
 
 
-def rooted_path(n):
-    return RootedTree(parent={i: i - 1 for i in range(1, n)}, roots=(0,))
-
-
 class TestClosure:
     def test_path_closure_is_complete(self):
-        g = closure(rooted_path(3))
+        g = closure([-1, 0, 1])
         assert g.m == 3  # K_3
 
     def test_root_with_two_children(self):
-        t = RootedTree(parent={1: 0, 2: 0}, roots=(0,))
-        g = closure(t)
+        g = closure([-1, 0, 0])
         assert g.edges == frozenset({(0, 1), (0, 2)})
 
     def test_complete_binary_height3(self):
@@ -141,10 +137,10 @@ class TestTreeDepth:
     def test_edgeless(self):
         value, witness = tree_depth(Graph(5))
         assert value == 1
-        assert witness.vertex_height() == 1
+        assert witness == [-1] * 5
 
     def test_empty_graph(self):
-        assert tree_depth(Graph(0))[0] == 0
+        assert tree_depth(Graph(0)) == (0, [])
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -162,8 +158,8 @@ class TestTreeDepth:
 
 
 def _check_td_witness(g, witness, value):
-    assert witness.vertex_height() == value
-    assert witness.vertices() == set(range(g.n))
+    assert len(witness) == g.n
+    assert forest_height(witness) == value
     cl = closure(witness)
     for e in g.edges:
         assert e in cl.edges, f"edge {e} not in witness closure"
@@ -175,7 +171,7 @@ class TestConnectedTreeDepth:
     def test_u_family(self, h, d):
         value, witness = connected_tree_depth(u_graph(h, d))
         assert value == h
-        assert len(witness.roots) == 1
+        assert witness.count(-1) == 1
 
     def test_two_disjoint_edges(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -203,8 +199,8 @@ class TestConnectedTreeDepth:
                 assert ctd == td + 1
             else:
                 assert ctd == td
-            assert witness.vertices() == set(range(g.n))
-            assert witness.vertex_height() == ctd
+            assert len(witness) == g.n and witness.count(-1) == 1
+            assert forest_height(witness) == ctd
             cl = closure(witness)
             assert g.edges <= cl.edges
 
@@ -248,7 +244,7 @@ def _embed_witness(witness, d):
             assert slot < d
             rec(c, path + (slot,))
 
-    rec(witness.roots[0], ())
+    rec(witness.index(-1), ())
     return pos
 
 
@@ -325,8 +321,8 @@ class TestAgainstTheRootLoop:
                 value, witness = search(g)
                 want_value, want_parent, want_roots = reference(g)
                 assert value == want_value
-                assert list(witness.parent.items()) == list(want_parent.items())
-                assert witness.roots == want_roots
+                assert witness == [want_parent.get(v, -1) for v in range(g.n)]
+                assert tuple(v for v, p in enumerate(witness) if p == -1) == want_roots
             checked += 1
         assert checked == 1099 + 500
 
