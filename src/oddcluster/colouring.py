@@ -17,11 +17,12 @@ regions are all empty never builds it.
 
 The whole recursion runs on the input graph and decomposition: a
 sub-problem (a component, a layer's region, what the hitting set leaves) is
-a vertex set of the input, never a relabelled copy.  Each layer that runs
-the dichotomy restricts the input decomposition once, to its region; since
-a restriction keeps exactly the nodes whose bags meet its vertex set, each
-under its nearest kept ancestor, this is the same tree that restricting
-component by component would give.
+a vertex set of the input, never a relabelled copy.  Each component is
+walked once: the BFS layering from its least vertex is what finds it.  Each
+layer that runs the dichotomy restricts the input decomposition once, to its
+region; since a restriction keeps exactly the nodes whose bags meet its
+vertex set, each under its nearest kept ancestor, this is the same tree that
+restricting component by component would give.
 The pipeline copies a monochromatic component only to decompose it: the
 bags are mapped back to the host's ids and the component is coloured on the
 host, so colourings and certificates come back in host ids with nothing to
@@ -122,24 +123,24 @@ def make_colouring(g, raw_colour, scope=None):
 
 
 def max_monochromatic_component(g, colour):
-    if not colour:
-        return 0
-    return max(len(c) for c in monochromatic_components(g, colour))
+    return max(map(len, _monochromatic_sets(g, colour)), default=0)
 
 
 def monochromatic_components(g, colour):
-    """Connected components of each colour class; uncoloured vertices are skipped."""
+    """Components of each colour class, sorted, by least vertex; uncoloured vertices are skipped."""
+    return sorted(tuple(sorted(comp)) for comp in _monochromatic_sets(g, colour))
+
+
+def _monochromatic_sets(g, colour):
+    """Each monochromatic component as an unsorted set, one colour class at a time."""
     classes = {}
     for v, c in colour.items():
         classes.setdefault(c, set()).add(v)
-    seen = set()
-    comps = []
-    for s in sorted(colour):
-        if s not in seen:
-            comp = reach(g.adj, s, classes[colour[s]])
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-    return comps
+    for cls in classes.values():
+        while cls:
+            comp = reach(g.adj, cls.pop(), cls)
+            cls -= comp
+            yield comp
 
 
 def _k1_certificate(d, edge):
@@ -221,8 +222,11 @@ def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
     """
     if h < 1 or d < 1:
         raise ValueError("need h >= 1 and d >= 1")
+    xs = frozenset().union(*dec.bags)
+    if xs and not (0 <= min(xs) and max(xs) < g.n):
+        raise ValueError(f"decomposition bags leave 0..{g.n - 1}")
     raw, scope = {}, {}
-    cert = _colour_rec(g, h, d, dec, cap, frozenset().union(*dec.bags), "", 0, raw, scope)
+    cert = _colour_rec(g, h, d, dec, cap, xs, "", 0, raw, scope)
     if cert is not None:
         ok, why = verify_certificate(g, cert)
         if not ok:
@@ -269,19 +273,23 @@ def _colour_rec(g, h, d, dec, cap, xs, prefix, base, raw, scope):
             raw[v] = base
             scope[v] = tag
         return None
-    for ci, comp in enumerate(connected_components(g, xs)):
-        cert = _colour_component(g, h, d, dec, cap, comp, f"{prefix}/c{ci}", base, raw, scope)
-        if cert is not None:
-            return cert
+    seen, ci = set(), 0
+    for s in sorted(xs):
+        if s not in seen:
+            layering = bfs_layers(g, s, xs)
+            seen.update(*layering.layers)
+            cert = _colour_component(g, h, d, dec, cap, layering, f"{prefix}/c{ci}", base, raw, scope)
+            if cert is not None:
+                return cert
+            ci += 1
     return None
 
 
-def _colour_component(g, h, d, dec, cap, comp, prefix, base, raw, scope):
-    """Colour the connected G[comp], layer by layer from its least vertex."""
-    layering = bfs_layers(g, comp[0], comp)
+def _colour_component(g, h, d, dec, cap, layering, prefix, base, raw, scope):
+    """Colour a connected component of the recursion from its BFS layering, layer by layer."""
     sub_size = colour_budget(h - 1)
-    raw[comp[0]] = base
-    scope[comp[0]] = f"{prefix}/L0"
+    raw[layering.root] = base
+    scope[layering.root] = f"{prefix}/L0"
     pattern = None  # U_{h-1,d}, built when a layer first needs it
     for i in range(1, len(layering.layers)):
         u_i, *region = layering.layers[i]

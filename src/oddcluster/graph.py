@@ -3,9 +3,10 @@
 Vertices are dense integer indices 0..n-1.  All set-valued outputs are
 sorted ascending so that repeated runs produce identical results.
 
-Two walk kernels carry the package's graph walks: ``reach`` when only the
-reached set matters, ``bfs_tree`` when the visit order reaches the output
-(it takes neighbours in ascending order, so the order is fixed by the graph).
+Walk kernels: ``reach`` when only the reached set matters, ``bfs_tree`` when
+the visit order reaches the output (it takes neighbours in ascending order,
+so the order is fixed by the graph), and ``bfs_layers``' own frontier walk,
+whose layers are sorted sets.
 """
 
 from dataclasses import dataclass
@@ -94,14 +95,16 @@ def bfs_layers(g, r, allowed=None):
         allowed = frozenset(allowed)
     if not 0 <= r < g.n or (allowed is not None and r not in allowed):
         raise ValueError(f"invalid root {r}")
-    depth = {r: 0}
-    layers = [[r]]
-    for v, p in bfs_tree(g.adj, r, allowed).items():
-        depth[v] = k = depth[p] + 1
-        if k == len(layers):
-            layers.append([])
-        layers[k].append(v)
-    return Layering(root=r, layers=tuple(tuple(sorted(l)) for l in layers))
+    seen, layers = {r}, [(r,)]
+    while True:
+        nxt = set()
+        for v in layers[-1]:  # per vertex: a small region never pays a hub's full degree
+            nxt |= g.adj[v] if allowed is None else g.adj[v] & allowed
+        nxt -= seen
+        if not nxt:
+            return Layering(root=r, layers=tuple(layers))
+        seen |= nxt
+        layers.append(tuple(sorted(nxt)))
 
 
 def induced_subgraph(g, xs):

@@ -93,6 +93,9 @@ def verify_odd_witness(g, model, witness):
     for v in model.covered_vertices():
         if v not in witness:
             return False, f"witness misses covered vertex {v}"
+    extra = witness.keys() - set(model.covered_vertices())
+    if extra:
+        return False, f"witness colours vertex {min(extra)}, which no branch set covers"
     for x, tree_edges in model.branch_trees.items():
         for a, b in tree_edges:
             if a not in witness or b not in witness:

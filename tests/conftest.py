@@ -2,11 +2,12 @@
 
 The oracles are intentionally written from the definitions, without reusing
 the library's optimized code paths, so the two can falsify each other.  The
-helpers at the end (bipartiteness with odd-cycle extraction, the single-bag
-decomposition, small graph families, the closure of a rooted forest and
-the complete d-ary tree that ``u_graph`` is checked against, a forest's
-children lists and the parity test of a branch-set colouring) are used only
-by the tests, so they live here rather than in the library.  A rooted
+helpers at the end (the ``bfs_tree``-based layering that ``bfs_layers``'
+frontier walk is checked against, bipartiteness with odd-cycle extraction,
+the single-bag decomposition, small graph families, the closure of a rooted
+forest and the complete d-ary tree that ``u_graph`` is checked against, a
+forest's children lists and the parity test of a branch-set colouring) are
+used only by the tests, so they live here rather than in the library.  A rooted
 forest is a parent array, as the tree-depth witnesses are: ``parent[v]`` is
 v's parent, -1 at a root.
 """
@@ -14,7 +15,7 @@ v's parent, -1 at a root.
 import random
 from itertools import combinations, permutations
 
-from oddcluster import Graph, TreeDecomposition
+from oddcluster import Graph, Layering, TreeDecomposition
 from oddcluster.errors import ResourceLimitError
 from oddcluster.graph import bfs_tree, reach
 from oddcluster.treedepth import U_GRAPH_VERTEX_CAP
@@ -129,6 +130,22 @@ def renumbered(dec, index_map):
     """``dec`` with host ids renumbered by an ``induced_subgraph`` index map (new -> old)."""
     pos = {v: i for i, v in enumerate(index_map)}
     return TreeDecomposition(dec.parent, [[pos[v] for v in bag] for bag in dec.bags])
+
+
+def reference_bfs_layers(g, r, allowed=None):
+    """Distance layers from r in G[allowed], read off the depths of ``bfs_tree``'s parents."""
+    if allowed is not None:
+        allowed = frozenset(allowed)
+    if not 0 <= r < g.n or (allowed is not None and r not in allowed):
+        raise ValueError(f"invalid root {r}")
+    depth = {r: 0}
+    layers = [[r]]
+    for v, p in bfs_tree(g.adj, r, allowed).items():
+        depth[v] = k = depth[p] + 1
+        if k == len(layers):
+            layers.append([])
+        layers[k].append(v)
+    return Layering(root=r, layers=tuple(tuple(sorted(l)) for l in layers))
 
 
 def is_bipartite(g):

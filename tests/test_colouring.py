@@ -14,6 +14,7 @@ from oddcluster import (
     colour_bounded_tw,
     colour_budget,
     colour_pipeline,
+    connected_components,
     exact_treewidth,
     find_odd_model,
     heuristic_decomposition,
@@ -36,7 +37,14 @@ from oddcluster.generators import (
     star_graph,
 )
 from oddcluster.graph import reach
-from conftest import check_layered_tree, empty_graph, path_graph, random_tree, trivial_decomposition
+from conftest import (
+    check_layered_tree,
+    empty_graph,
+    path_graph,
+    random_tree,
+    reference_bfs_layers,
+    trivial_decomposition,
+)
 
 
 def check_certificate(g, cert):
@@ -596,6 +604,31 @@ class TestHostIdDecomposition:
                 assert (got.num_colours, got.max_cluster) == (want.num_colours, want.max_cluster)
         assert arms == {"certificate", "colouring"}
 
+    @pytest.mark.parametrize("h", [1, 2])
+    @pytest.mark.parametrize("outside", [3, -1])
+    def test_bags_outside_the_graph_are_refused(self, h, outside):
+        # checked once on entry: no walk of the recursion is left to catch it
+        dec = TreeDecomposition([-1, 0], [[0, 1], [2, outside]])
+        with pytest.raises(ValueError, match=r"leave 0\.\.2"):
+            colour_bounded_tw(path_graph(3), h, 1, dec)
+
+
+class TestOneWalkPerComponent:
+    """The colour recursion finds each component by the BFS layering that colours it."""
+
+    def test_components_are_not_found_separately(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("colour_bounded_tw called connected_components")
+
+        monkeypatch.setattr(colouring, "connected_components", refuse)
+        graphs = [Graph(8, [(0, 1), (1, 2), (4, 5), (5, 6), (6, 7)]), random_partial_ktree(30, 2, 5)]
+        graphs += [random_partial_ktree(25, 3, seed, edge_keep=0.5) for seed in range(10)]
+        for g in graphs:
+            dec = decompose(g)
+            for h in (1, 2, 3):
+                for d in (1, 2):
+                    colour_bounded_tw(g, h, d, dec)
+
 
 class TestNoCyclicGarbage:
     """The searches free what they build as they return, without the cycle collector."""
@@ -646,7 +679,7 @@ def _reference_rec(g, h, d, dec, cap, xs, prefix):
         return dict.fromkeys(sorted(xs), 0), dict.fromkeys(sorted(xs), tag)
     raw = {}
     scope = {}
-    for ci, comp in enumerate(colouring.connected_components(g, xs)):
+    for ci, comp in enumerate(connected_components(g, xs)):
         out = _reference_component(g, h, d, dec, cap, comp, f"{prefix}/c{ci}")
         if isinstance(out, OddModelCertificate):
             return out
@@ -656,7 +689,7 @@ def _reference_rec(g, h, d, dec, cap, xs, prefix):
 
 
 def _reference_component(g, h, d, dec, cap, comp, prefix):
-    layering = colouring.bfs_layers(g, comp[0], comp)
+    layering = reference_bfs_layers(g, comp[0], comp)
     sub_size = colour_budget(h - 1)
     raw = {comp[0]: 0}
     scope = {comp[0]: f"{prefix}/L0"}

@@ -13,16 +13,19 @@ from oddcluster import (
     induced_subgraph,
     u_graph,
 )
-from oddcluster.colouring import monochromatic_components
+from oddcluster.colouring import max_monochromatic_component, monochromatic_components
 from oddcluster import graph as graph_module
 from oddcluster.errors import ResourceLimitError
 from oddcluster.graph import bfs_tree, reach
+from oddcluster import oracles
+from oddcluster.generators import star_graph
 from conftest import (
     _conflict_cycle,
     all_two_colourings_proper,
     check_layered_tree,
     is_bipartite,
     random_small_graph,
+    reference_bfs_layers,
 )
 
 
@@ -344,6 +347,18 @@ class TestReachAgainstUnionFind:
             mono = [(a, b) for a, b in g.edges if colour.get(a, -1) == colour.get(b, -2)]
             assert monochromatic_components(g, colour) == union_find_components(colour, mono)
 
+    def test_largest_monochromatic_component(self):
+        # the size-only walk agrees with the largest listed component and with
+        # the falsifier's own walk, uncoloured vertices and the empty colouring included
+        assert max_monochromatic_component(path(3), {}) == 0
+        for rng, g in sparse_graphs(41, 200):
+            k = rng.randint(1, 4)
+            share = rng.choice((1.0, 0.7, 0.3, 0.0))
+            colour = {v: rng.randrange(k) for v in range(g.n) if rng.random() < share}
+            got = max_monochromatic_component(g, colour)
+            assert got == max((len(c) for c in monochromatic_components(g, colour)), default=0)
+            assert got == max(map(len, oracles._monochromatic_components(g, colour)), default=0)
+
     def test_allowed_and_edge_filter(self):
         for rng, g in sparse_graphs(7, 200):
             allowed = {v for v in range(g.n) if rng.random() < 0.6}
@@ -392,6 +407,41 @@ class TestWalksOnVertexSets:
             connected_components(cycle(3), [0, 7])
         with pytest.raises(ValueError):
             bfs_layers(cycle(4), 0, [1, 2])
+
+
+def hub_graphs(seed, count):
+    """Seeded graphs with one to three hubs joined to most vertices, and a sparse rest."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 60)
+        hubs = rng.sample(range(n), rng.randint(1, min(3, n)))
+        edges = [(h, v) for h in hubs for v in range(n) if v != h and rng.random() < 0.9]
+        edges += [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.03]
+        yield rng, Graph(n, edges)
+
+
+class TestBfsLayersAgainstTheTreeWalk:
+    """The frontier walk gives the layering read off ``bfs_tree``'s parents."""
+
+    def test_same_layers_with_and_without_allowed(self):
+        for rng, g in (*sparse_graphs(31, 150), *hub_graphs(37, 150)):
+            xs = rng.sample(range(g.n), rng.randint(1, g.n))
+            root = rng.choice(xs)
+            for allowed in (None, xs, frozenset(xs)):
+                assert bfs_layers(g, root, allowed) == reference_bfs_layers(g, root, allowed)
+
+    def test_a_small_region_does_not_pay_the_hubs_degree(self):
+        # ``adj[v] & allowed`` per vertex keeps the hub's 200 000 leaves out of
+        # every set built; a union of whole neighbourhoods peaks at 8.4 MB here
+        g = star_graph(200_001)
+        tracemalloc.start()
+        try:
+            layering = bfs_layers(g, 0, {0, 1, 2, 3})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert layering.layers == ((0,), (1, 2, 3))
+        assert peak < 1_000_000
 
 
 def reference_is_bipartite(g):

@@ -238,6 +238,13 @@ class TestCli:
         code, out = run_cli(capsys, ["verify", "model", write("g.txt", P3), ap])
         assert code == 1 and json.loads(out)["violation"] == "witness misses covered vertex 1"
 
+    def test_verify_model_rejects_a_witness_colouring_uncovered_vertices(self, capsys, write):
+        # a vertex no branch set covers, in the graph (2) or not (99999): the least is named
+        ap = write("cert.json", json.dumps(cert_json(witness={"0": 0, "1": 1, "2": 0, "99999": 1})))
+        code, out = run_cli(capsys, ["verify", "model", write("g.txt", P3), ap])
+        assert code == 1
+        assert json.loads(out)["violation"] == "witness colours vertex 2, which no branch set covers"
+
     def test_verify_decomposition(self, capsys, write):
         g = cycle_graph(6)
         gp = write("g.txt", serialize_graph(g))

@@ -89,6 +89,12 @@ class TestVerifyOddWitness:
         ok, why = verify_odd_witness(K2, m, {0: 0})
         assert not ok and "misses covered vertex 1" in why
 
+    def test_vertex_outside_the_branch_sets_is_reported(self):
+        m = Model(K1, {0: (0, 1)}, {0: ((0, 1),)})
+        for extra in (2, 99999, -1):
+            ok, why = verify_odd_witness(path_graph(3), m, {0: 0, 1: 1, extra: 0})
+            assert (ok, why) == (False, f"witness colours vertex {extra}, which no branch set covers")
+
     def test_tree_edge_leaving_the_witness_is_reported(self):
         m = Model(K1, {0: (0, 1)}, {0: ((1, 2),)})
         ok, why = verify_odd_witness(path_graph(3), m, {0: 0, 1: 1})
