@@ -296,6 +296,9 @@ def main(argv=None):
     except MemoryError:
         print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
+    except RecursionError:
+        print("resource limit: recursion depth exceeded", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

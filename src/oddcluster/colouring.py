@@ -118,7 +118,7 @@ def make_colouring(g, raw_colour, scope=None):
         colour=colour,
         num_colours=len(used),
         max_cluster=max_monochromatic_component(g, colour),
-        scope=dict(scope or {}),
+        scope={} if scope is None else scope,
     )
 
 

@@ -1,4 +1,4 @@
-"""Simple undirected graphs and BFS-layer primitives.
+"""Simple undirected graphs, stored as their adjacency sets alone, and BFS-layer primitives.
 
 Vertices are dense integer indices 0..n-1.  All set-valued outputs are
 sorted ascending so that repeated runs produce identical results.
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .errors import ResourceLimitError
 
-# Size caps of a Graph.  A graph at both caps takes about 0.6 GB in this
-# representation, far beyond what min-fill and the exact searches finish on;
-# the caps turn a hostile size into exit 2 instead of memory exhaustion.
+# Size caps of a Graph.  At both caps (random edges) its adjacency sets hold about
+# 0.17 GB, 0.37 GB while they are built, far beyond what min-fill and the exact
+# searches finish on; the caps turn a hostile size into exit 2 instead of memory exhaustion.
 MAX_VERTICES = 500_000
 MAX_EDGES = 1_000_000
 
@@ -29,20 +29,19 @@ def check_graph_size(n, m=0):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1.
+    """Immutable simple undirected graph on vertices 0..n-1, stored as its adjacency sets alone.
 
     The caps are checked before anything is allocated: ``n`` on entry, and
-    ``edges``, which may be lazy, as it is read.
+    the ``edges`` given, which may be lazy, as they are read.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         check_graph_size(n)
         adj = [set() for _ in range(n)]
-        es = set()
         for k, (u, v) in enumerate(edges):
             if k == MAX_EDGES:
                 check_graph_size(n, k + 1)
@@ -50,21 +49,22 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            a, b = (u, v) if u < v else (v, u)
-            es.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
+            adj[u].add(v)
+            adj[v].add(u)
         self.n = n
-        self.edges = frozenset(es)
         self.adj = tuple(frozenset(s) for s in adj)
 
     @property
+    def edges(self):
+        """The edges as ``(a, b)`` pairs with ``a < b``: a frozenset built from ``adj`` on each read."""
+        return frozenset((a, b) for a, nbrs in enumerate(self.adj) for b in nbrs if a < b)
+
+    @property
     def m(self):
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def has_edge(self, u, v):
-        a, b = (u, v) if u < v else (v, u)
-        return (a, b) in self.edges
+        return 0 <= u < self.n and v in self.adj[u]
 
     def degree(self, v):
         return len(self.adj[v])
@@ -72,10 +72,10 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.adj == other.adj
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

@@ -54,8 +54,9 @@ def parse_graph(text):
 
 
 def serialize_graph(g):
-    lines = [f"p {g.n} {g.m}"]
-    lines.extend(f"{a} {b}" for a, b in sorted(g.edges))
+    edges = sorted(g.edges)
+    lines = [f"p {g.n} {len(edges)}"]
+    lines.extend(f"{a} {b}" for a, b in edges)
     return "\n".join(lines) + "\n"
 
 

@@ -152,6 +152,7 @@ def odd_minor_oracle(g, h, cap=ODD_MINOR_ORACLE_CAP):
     if h.n > g.n:
         return False
     labels = list(range(h.n)) + [None]
+    h_edges = h.edges
     for assignment in product(labels, repeat=g.n):
         sets = {x: [v for v in range(g.n) if assignment[v] == x] for x in range(h.n)}
         if any(not sets[x] for x in range(h.n)):
@@ -160,7 +161,7 @@ def odd_minor_oracle(g, h, cap=ODD_MINOR_ORACLE_CAP):
             continue
         join = {}
         ok = True
-        for x, y in h.edges:
+        for x, y in h_edges:
             je = [
                 (a, b)
                 for a in sets[x]
@@ -205,8 +206,6 @@ def _odd_witness_exists(g, h, sets, join):
         colour = {}
         for col in choice:
             colour.update(col)
-        if all(
-            any(colour[a] == colour[b] for a, b in join[(x, y)]) for x, y in h.edges
-        ):
+        if all(any(colour[a] == colour[b] for a, b in je) for je in join.values()):
             return True
     return False

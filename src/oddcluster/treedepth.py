@@ -84,10 +84,7 @@ class _TreeDepthSearch:
     """
 
     def __init__(self, g):
-        self.adj = [0] * g.n
-        for a, b in g.edges:
-            self.adj[a] |= 1 << b
-            self.adj[b] |= 1 << a
+        self.adj = [sum(1 << u for u in nbrs) for nbrs in g.adj]
         self.memo = {}  # mask -> (connected_value, chosen root)
 
     def forest_value(self, mask):

@@ -49,6 +49,41 @@ class TestGraph:
     def test_parallel_edges_collapse(self):
         g = Graph(2, [(0, 1), (1, 0)])
         assert g.m == 1
+        g = Graph(5, [(3, 1), (0, 4), (1, 3), (4, 0), (1, 3), (2, 1)])
+        assert g.m == 3
+        assert g.edges == frozenset({(1, 3), (0, 4), (1, 2)})
+
+    def test_equality_and_hash_ignore_edge_order_orientation_and_duplicates(self):
+        rng = random.Random(20)
+        for _ in range(30):
+            g = random_small_graph(rng, 8)
+            edges = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in g.edges]
+            edges += rng.sample(edges, len(edges) // 2)
+            rng.shuffle(edges)
+            other = Graph(g.n, edges)
+            assert other == g and hash(other) == hash(g)
+            assert other.m == g.m == len(g.edges)
+        assert Graph(3, [(0, 1)]) != Graph(3, [(1, 2)])
+        assert Graph(3, [(0, 1)]) != Graph(2, [(0, 1)])
+
+    def test_has_edge_outside_the_vertex_range(self):
+        g = cycle(4)
+        assert g.has_edge(0, 3) and g.has_edge(3, 0)
+        # adj[-1] is adj[3], which holds 0: a negative vertex must not wrap around
+        assert not g.has_edge(-1, 0) and not g.has_edge(0, -1)
+        assert not g.has_edge(4, 0) and not g.has_edge(0, 4)
+
+    def test_a_graph_holds_only_its_adjacency_sets(self):
+        assert Graph.__slots__ == ("n", "adj")
+        edges = [(i, (i + 1) % 100_000) for i in range(100_000)]
+        tracemalloc.start()
+        try:
+            g = Graph(100_000, edges)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 100_000
+        assert held < 25_000_000  # 22.4 MB; a frozenset of the edges beside them made it 32.2 MB
 
     def test_adjacency_symmetric(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])

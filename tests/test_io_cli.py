@@ -612,6 +612,26 @@ class TestMalformedInputs:
         assert code == 2 and not captured.out
         assert captured.err == "resource limit: out of memory\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["metric", "td", "p.txt"], id="td"),
+            pytest.param(["metric", "ctd", "p.txt"], id="ctd"),
+            pytest.param(["odd-minor", "p.txt", "k3.txt"], id="odd-minor"),
+        ],
+    )
+    def test_deep_search_exits_2_in_a_subprocess(self, tmp_path, argv):
+        # the exact searches recurse once per vertex: a path longer than the
+        # recursion limit, let in by a raised --cap, exhausts the stack
+        (tmp_path / "p.txt").write_text(serialize_graph(Graph(1100, [(i, i + 1) for i in range(1099)])))
+        (tmp_path / "k3.txt").write_text(serialize_graph(complete_graph(3)))
+        paths = [str(tmp_path / a) if a.endswith(".txt") else a for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "oddcluster.cli", "--cap", "1100", *paths], capture_output=True, text=True
+        )
+        assert proc.returncode == 2 and not proc.stdout
+        assert proc.stderr == "resource limit: recursion depth exceeded\n"
+
     def test_cap_is_set_by_the_option_alone(self, capsys, monkeypatch, write):
         monkeypatch.setenv("ODDCLUSTER_CAP", "abc")
         gp = write("g.txt", serialize_graph(cycle_graph(5)))
