@@ -132,14 +132,22 @@ def monochromatic_components(g, colour):
 
 
 def _monochromatic_sets(g, colour):
-    """Each monochromatic component as an unsorted set, one colour class at a time."""
+    """Each monochromatic component as an unsorted set, walked out of its colour class."""
     classes = {}
     for v, c in colour.items():
         classes.setdefault(c, set()).add(v)
+    adj = g.adj
     for cls in classes.values():
         while cls:
-            comp = reach(g.adj, cls.pop(), cls)
-            cls -= comp
+            v = cls.pop()
+            comp = {v}
+            nb = adj[v] & cls
+            while nb:
+                cls -= nb
+                comp |= nb
+                frontier, nb = nb, set()
+                for x in frontier:
+                    nb |= adj[x] & cls
             yield comp
 
 

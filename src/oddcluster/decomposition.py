@@ -6,8 +6,9 @@ candidate width k it searches for an order eliminating every vertex with
 graph after eliminating a set is independent of the order, so the
 eliminated-set is a sound state key; each branch of the search eliminates
 on its own copy of the filled adjacency and records the bag of each vertex
-it eliminates.  Min-fill plays the game once too, keeping fill-in counts up
-to date incrementally; either way the tree is built from the recorded bags.
+it eliminates.  Min-fill plays the game once too, keeping fill-in counts in a
+heap of int keys ``fill * n + v`` (only changed fills re-pushed, no fill-edge
+loop at fill 0); either way the tree is built from the recorded bags.
 
 Every decomposition numbers its nodes in pre-order and stores its tree as a
 parent array, so the subtree of node x is the node range ``x .. end[x] - 1``
@@ -89,7 +90,8 @@ def preorder_decomposition(children, roots, bags):
     stack = [(r, -1) for r in reversed(roots)]
     while stack:
         x, p = stack.pop()
-        stack.extend((y, len(order)) for y in reversed(children[x]))
+        if children[x]:
+            stack.extend([(y, len(order)) for y in reversed(children[x])])
         order.append(x)
         parent.append(p)
     return TreeDecomposition(parent, [bags[x] for x in order])
@@ -148,49 +150,58 @@ def _min_fill_elimination(g):
     from every common neighbour; when v then leaves, each u in N(v) loses the
     pairs of v with the neighbours of u that v misses.  Every count is a size
     minus an intersection, and an intersection walks the smaller set, so a
-    vertex next to a hub never pays the hub's degree.  An entry whose fill is
-    no longer current is skipped when popped.
+    vertex next to a hub never pays the hub's degree.  Heap keys are the ints
+    ``fill * n + v``, ordered as ``(fill, v)``; a vertex is re-pushed only when
+    its fill differs from its last push, so every live v keeps the key of its
+    current fill, and a stale key is skipped when popped.  N(v) of a vertex
+    popped with fill 0 is a clique: its fill-edge loop is skipped.
     """
+    n = g.n
     adj = [set(s) for s in g.adj]
-    # non-adjacent pairs in N(v): deg(v) - |N(v) & N(a)| counts a itself and
-    # the members of N(v) that a misses; summed over a, each pair counts twice
-    fill = []
-    for nbrs in adj:
-        deg = len(nbrs)
-        fill.append((deg * deg - deg - sum(len(nbrs & adj[a]) for a in nbrs)) // 2)
-    heap = [(f, v) for v, f in enumerate(fill)]
+    tri = [0] * n  # |N(a) & N(b)| summed over the edges ab at v: each edge in N(v) twice
+    for a, nbrs in enumerate(adj):
+        for b in nbrs:
+            if a < b:
+                t = len(nbrs & adj[b])
+                tri[a] += t
+                tri[b] += t
+    fill = [(len(s) * (len(s) - 1) - t) // 2 for s, t in zip(adj, tri)]
+    pushed = fill[:]  # the fill each vertex was last pushed with
+    heap = [f * n + v for v, f in enumerate(fill)]
     heapq.heapify(heap)
-    alive = [True] * g.n
-    order = []
-    bags = []
+    alive = [True] * n
+    order, bags = [], []
     while heap:
-        f, v = heapq.heappop(heap)
-        if not alive[v] or f != fill[v]:
+        f, v = divmod(heapq.heappop(heap), n)
+        if f != fill[v] or not alive[v]:
             continue
         alive[v] = False
         order.append(v)
         nbrs = adj[v]
         bags.append(nbrs | {v})
         touched = set(nbrs)
-        for a in nbrs:
-            missing = nbrs - adj[a]
-            missing.discard(a)
-            for b in missing:
-                common = adj[a] & adj[b]  # holds v
-                fill[a] += len(adj[a]) - len(common)
-                fill[b] += len(adj[b]) - len(common)
-                for c in common:
-                    fill[c] -= 1
-                touched |= common
-                adj[a].add(b)
-                adj[b].add(a)
+        if f:
+            for a in nbrs:
+                missing = nbrs - adj[a]
+                missing.discard(a)
+                for b in missing:
+                    common = adj[a] & adj[b]  # holds v
+                    fill[a] += len(adj[a]) - len(common)
+                    fill[b] += len(adj[b]) - len(common)
+                    for c in common:
+                        fill[c] -= 1
+                    touched |= common
+                    adj[a].add(b)
+                    adj[b].add(a)
+            touched.discard(v)
         # N(v) is now a clique, so v misses |N(u)| - |N(v)| neighbours of u
         for u in nbrs:
             fill[u] -= len(adj[u]) - len(nbrs)
             adj[u].discard(v)
-        touched.discard(v)
         for u in touched:
-            heapq.heappush(heap, (fill[u], u))
+            if fill[u] != pushed[u]:
+                pushed[u] = fill[u]
+                heapq.heappush(heap, fill[u] * n + u)
     return order, bags
 
 
@@ -266,12 +277,17 @@ def _tree_from_bags(order, bags):
     if not order:
         return TreeDecomposition((-1,), [()])
     pos = {v: i for i, v in enumerate(order)}
+    bags = [sorted(b) for b in bags]
     children = [[] for _ in order]
     for i, v in enumerate(order[:-1]):
-        later = [pos[u] for u in bags[i] if u != v]
-        children[min(later) if later else i + 1].append(i)  # the next bag joins isolated pieces
+        p = len(order)
+        for u in bags[i]:  # every other member is eliminated later
+            if u != v and pos[u] < p:
+                p = pos[u]
+        children[p if p < len(order) else i + 1].append(i)  # the next bag joins isolated pieces
     for kids in children:
-        kids.sort(key=lambda y: min(bags[y]))  # stable: ties stay in index order
+        if len(kids) > 1:
+            kids.sort(key=lambda y: bags[y][0])  # stable: ties stay in index order
     return preorder_decomposition(children, [len(order) - 1], bags)
 
 

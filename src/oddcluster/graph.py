@@ -5,8 +5,9 @@ sorted ascending so that repeated runs produce identical results.
 
 Walk kernels: ``reach`` when only the reached set matters, ``bfs_tree`` when
 the visit order reaches the output (it takes neighbours in ascending order,
-so the order is fixed by the graph), and ``bfs_layers``' own frontier walk,
-whose layers are sorted sets.
+so the order is fixed by the graph), and two frontier walks: ``bfs_layers``',
+whose layers are sorted sets, and ``colouring._monochromatic_sets``', which
+takes each component out of its colour class as it goes.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from .errors import ResourceLimitError
 
 # Size caps of a Graph.  At both caps (random edges) its adjacency sets hold about
-# 0.17 GB, 0.37 GB while they are built, far beyond what min-fill and the exact
+# 0.17 GB, 0.21 GB while they are built, far beyond what min-fill and the exact
 # searches finish on; the caps turn a hostile size into exit 2 instead of memory exhaustion.
 MAX_VERTICES = 500_000
 MAX_EDGES = 1_000_000
@@ -51,8 +52,10 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             adj[u].add(v)
             adj[v].add(u)
+        for i, s in enumerate(adj):  # one set at a time: the peak stays near what is kept
+            adj[i] = frozenset(s)
         self.n = n
-        self.adj = tuple(frozenset(s) for s in adj)
+        self.adj = tuple(adj)
 
     @property
     def edges(self):

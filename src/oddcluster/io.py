@@ -54,10 +54,8 @@ def parse_graph(text):
 
 
 def serialize_graph(g):
-    edges = sorted(g.edges)
-    lines = [f"p {g.n} {len(edges)}"]
-    lines.extend(f"{a} {b}" for a, b in edges)
-    return "\n".join(lines) + "\n"
+    edges = [f"{a} {b}" for a, nbrs in enumerate(g.adj) for b in sorted(nbrs) if b > a]
+    return "\n".join([f"p {g.n} {len(edges)}", *edges]) + "\n"
 
 
 def parse_partition(text, n):

@@ -6,10 +6,11 @@ helpers at the end (the ``bfs_tree``-based layering that ``bfs_layers``'
 frontier walk is checked against, bipartiteness with odd-cycle extraction,
 the single-bag decomposition, small graph families, the closure of a rooted
 forest and the complete d-ary tree that ``u_graph`` is checked against, a
-forest's children lists and the parity test of a branch-set colouring) are
-used only by the tests, so they live here rather than in the library.  A rooted
-forest is a parent array, as the tree-depth witnesses are: ``parent[v]`` is
-v's parent, -1 at a root.
+forest's children lists, the parity test of a branch-set colouring,
+triangulated strips and seeded relabellings) are used only by the tests, so
+they live here rather than in the library.  A rooted forest is a parent
+array, as the tree-depth witnesses are: ``parent[v]`` is v's parent, -1 at a
+root.
 """
 
 import random
@@ -283,3 +284,25 @@ def bichromatic_bfs_tree(g, branch_set, colour):
     bs = set(branch_set)
     tree = bfs_tree(_bichromatic_adj(g, bs, colour), min(bs))
     return tuple(sorted((min(v, p), max(v, p)) for v, p in tree.items()))
+
+
+def strip(length, width):
+    """Triangulated ``length`` x ``width`` grid (treewidth ``width``)."""
+    edges = []
+    for i in range(length):
+        for j in range(width):
+            v = i * width + j
+            if j + 1 < width:
+                edges.append((v, v + 1))
+            if i + 1 < length:
+                edges.append((v, v + width))
+                if j + 1 < width:
+                    edges.append((v, v + width + 1))
+    return Graph(length * width, edges)
+
+
+def permuted(g, seed):
+    """g with its vertices relabelled by a seeded random permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])

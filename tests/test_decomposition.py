@@ -20,10 +20,12 @@ from oddcluster.errors import ResourceLimitError
 from oddcluster.generators import complete_graph, cycle_graph, star_graph
 from conftest import (
     brute_treewidth,
+    permuted,
     random_graph,
     random_small_graph,
     random_tree,
     renumbered,
+    strip,
     tree_children,
     trivial_decomposition,
 )
@@ -442,7 +444,8 @@ def reference_exact_treewidth(g):
 
 
 def differential_graphs():
-    """Tier-1 fixtures, 1000 seeded random graphs of at most 40 vertices, and hubs."""
+    """Tier-1 fixtures, 1000 seeded random graphs of at most 40 vertices, hubs,
+    and relabelled cycles and width-2 and width-3 strips of 150-300 vertices."""
     from oddcluster.generators import random_partial_ktree
 
     _, graphs = TestPreorderAgainstTraceIndex().fixtures()
@@ -455,6 +458,9 @@ def differential_graphs():
         graphs.append(random_graph(rng.randint(0, 40), rng.random() * 0.3, trial))
     for n in (5, 6, 7, 12, 30, 75, 150, 300):
         graphs += [make(n) for make in HUBS.values()]
+    for trial in range(4):  # thin-long's shapes: most pops have fill 0 or 1
+        n = rng.randint(150, 300)
+        graphs += [permuted(g, trial) for g in (cycle_graph(n), strip(n // 2, 2), strip(n // 3, 3))]
     return graphs
 
 

@@ -28,27 +28,7 @@ from oddcluster.cli import main
 from oddcluster.decomposition import decompose
 from oddcluster.generators import complete_graph, cycle_graph, random_partial_ktree, star_graph
 from oddcluster.io import certificate_to_json, colouring_to_json, serialize_graph
-
-
-def strip(length, width):
-    """Triangulated ``length`` x ``width`` grid (treewidth ``width``)."""
-    edges = []
-    for i in range(length):
-        for j in range(width):
-            v = i * width + j
-            if j + 1 < width:
-                edges.append((v, v + 1))
-            if i + 1 < length:
-                edges.append((v, v + width))
-                if j + 1 < width:
-                    edges.append((v, v + width + 1))
-    return Graph(length * width, edges)
-
-
-def permuted(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+from conftest import permuted, strip
 
 
 def disjoint_union(*graphs):

@@ -45,6 +45,18 @@ class TestGraphFormat:
             g = random_graph(rng.randint(1, 12), rng.random(), rng.randrange(10**6))
             assert parse_graph(serialize_graph(g)) == g
 
+    def test_text_lists_the_sorted_edges(self):
+        # the text is a header and then every edge (a, b), a < b, in sorted order
+        rng = random.Random(5)
+        graphs = [Graph(0), Graph(7)]
+        for trial in range(30):
+            graphs.append(random_graph(rng.randint(1, 40), rng.random(), trial))
+            graphs.append(random_partial_ktree(rng.randint(2, 60), rng.randint(1, 4), trial))
+        for g in graphs:
+            edges = sorted(g.edges)
+            want = "".join([f"p {g.n} {len(edges)}\n", *(f"{a} {b}\n" for a, b in edges)])
+            assert serialize_graph(g) == want
+
     def test_comments_and_blanks(self):
         g = parse_graph("# a triangle\n\np 3 3\n0 1  # first\n1 2\n0 2\n")
         assert g == cycle_graph(3)
