@@ -68,6 +68,8 @@ def parse_partition(text, n):
         if set(line) - {"r", "b"}:
             raise ParseError(lineno, "partition may only contain 'r' and 'b'")
         return list(line)
+    if n == 0:
+        return []  # the partition of no vertices is an empty line, which reads as blank
     raise ParseError(1, "empty partition file")
 
 

@@ -88,6 +88,16 @@ class TestPartitionFormat:
         with pytest.raises(ParseError):
             parse_partition("rbx\n", 3)
 
+    def test_empty_graph_has_the_empty_partition(self):
+        # its one line is empty, so a file with no significant line holds it
+        for text in ("", "\n", "# no vertices\n"):
+            assert parse_partition(text, 0) == []
+        with pytest.raises(ParseError):
+            parse_partition("r\n", 0)
+        for text in ("", "\n"):
+            with pytest.raises(ParseError, match="empty partition file"):
+                parse_partition(text, 1)
+
 
 class TestJsonRoundTrips:
     def test_forest_json(self):
@@ -156,11 +166,24 @@ class TestCli:
         code, out = run_cli(capsys, ["metric", "ctd", path])
         assert code == 0
         assert json.loads(out)["value"] == 3
+        # the witness's vertex_height is computed from its parent array
+        up = write("u32.txt", run_cli(capsys, ["gen", "u", "--h", "3", "--d", "2"])[1])
+        code, out = run_cli(capsys, ["metric", "ctd", up])
+        data = json.loads(out)
+        assert code == 0 and data["value"] == data["witness"]["vertex_height"] == 3
 
     def test_metric_tw(self, capsys, write):
         path = write("g.txt", serialize_graph(cycle_graph(6)))
         code, out = run_cli(capsys, ["metric", "tw", path])
         assert code == 0 and json.loads(out)["value"] == 2
+        # the witness is the file that verify decomposition and colour --decomposition read
+        pk = write("pk.txt", run_cli(capsys, ["gen", "partial-ktree", "--n", "16", "--k", "2", "--seed", "7"])[1])
+        dec = write("dec.json", json.dumps(json.loads(run_cli(capsys, ["metric", "tw", pk])[1])["witness"]))
+        assert run_cli(capsys, ["verify", "decomposition", pk, dec])[0] == 0
+        code, out = run_cli(capsys, ["colour", pk, "--h", "3", "--d", "2", "--decomposition", dec])
+        assert code == 0
+        code, out = run_cli(capsys, ["verify", "colouring", pk, write("pkc.json", out)])
+        assert code == 0 and json.loads(out)["ok"]
 
     def test_odd_minor_found(self, capsys, write):
         gp = write("g.txt", serialize_graph(cycle_graph(5)))
@@ -297,6 +320,23 @@ class TestCli:
         code, out = run_cli(capsys, ["pipeline", gp, hp, "--partition", pp])
         assert code == 0
         assert json.loads(out)["max_cluster"] >= 1
+        # C10 against K3, sides alternating: f(ctd(K3)) = 10 colours a side, every cluster one vertex
+        gp = write("c10.txt", serialize_graph(cycle_graph(10)))
+        kp = write("k3.txt", serialize_graph(complete_graph(3)))
+        code, out = run_cli(capsys, ["pipeline", gp, kp, "--partition", write("rb.txt", "rbrbrbrbrb\n")])
+        assert code == 0 and json.loads(out)["max_cluster"] == 1
+        budgets = ["--max-colours", "20", "--max-cluster", "3"]
+        code, out = run_cli(capsys, ["verify", "colouring", gp, write("c10.json", out), *budgets])
+        assert code == 0 and json.loads(out)["ok"]
+
+    def test_pipeline_empty_graph_with_a_partition(self, capsys, write):
+        # an empty or blank partition file is the empty graph's partition
+        gp = write("g.txt", "p 0 0\n")
+        hp = write("h.txt", "p 1 0\n")
+        for text in ("", "\n"):
+            code, out = run_cli(capsys, ["pipeline", gp, hp, "--partition", write("part.txt", text)])
+            assert code == 0
+            assert json.loads(out) == {"colours": [], "num_colours": 0, "max_cluster": 0}
 
     def test_pipeline_certificate(self, capsys, write):
         gp = write("g.txt", serialize_graph(cycle_graph(5)))
