@@ -4,14 +4,14 @@
 3*2^(h-1) - 2 colours and clustering at most d*w + d - w, or returns a
 verified non-trivial odd U_{h,d}-model certificate.  The recursion works
 layer by layer: each BFS layer either yields d disjoint non-trivial odd
-U_{h-1,d}-models (assembled with a layered spanning tree into a U_{h,d}
-certificate) or a small hitting set, after which the layer minus the
-hitting set is coloured recursively at h-1.  A layer whose region (the
-layer minus its least vertex u_i) has fewer than 2|V(U_{h-1,d})| vertices
-skips the decomposition restriction and the dichotomy: a non-trivial model
-puts at least 2 vertices in each branch set, so no subset of the region
-holds one, the oracle would answer None everywhere and the hitting set
-would come out empty.  Skipping it is exact; only u_i is hit.  U_{h-1,d}
+U_{h-1,d}-models (glued into a U_{h,d} certificate below a root branch set
+made of the layers before it plus u_i) or a small hitting set, after which
+the layer minus the hitting set is coloured recursively at h-1.  A layer
+whose region (the layer minus its least vertex u_i) has fewer than
+2|V(U_{h-1,d})| vertices skips the decomposition restriction and the
+dichotomy: a non-trivial model puts at least 2 vertices in each branch
+set, so no subset of the region holds one, the oracle would answer None
+everywhere and the hitting set would come out empty.  Skipping it is exact; only u_i is hit.  U_{h-1,d}
 is built when a layer first has a non-empty region, so a run whose
 regions are all empty never builds it.
 
@@ -329,24 +329,18 @@ def _colour_component(g, h, d, dec, cap, layering, prefix, base, raw, scope):
 def _component_oracle(g, pattern, cap):
     """The layer oracle: a memoised non-trivial odd pattern-model search, component-wise.
 
-    ``oracle(region)`` returns, as a Target, the model that
-    ``find_odd_model(g, pattern, region, require_nontrivial=True)`` returns,
-    or None, but searches each component of G[region] on its own, with
-    ``cap`` applied per component.  The pattern U is connected, so a model
-    lies in one component, and components with fewer than 2|V(U)| vertices
-    cannot hold a non-trivial one.  The memo is keyed by components, so it
-    holds no more than the searches made.  Pattern vertex 0, the root of U,
-    is placed first and every other pattern vertex is adjacent to it; so the
-    whole-region search returns, among the components' models, the one
-    whose root branch set has the least minimum vertex.  The colouring
-    does not build this oracle for a layer region below 2|V(U)| vertices:
-    every component of every region asked would be skipped by the size
-    test above, so the answer would be None throughout.
+    ``oracle(region)`` walks the components of G[region] in least-vertex
+    order and returns, as a Target, the model that ``find_odd_model``
+    (``require_nontrivial=True``, ``cap`` per component) finds in the first
+    component holding one, or None if none does; later components are
+    neither walked nor searched.  The pattern U is connected, so a model
+    lies in one component, and a component with fewer than 2|V(U)|
+    vertices holds no non-trivial one and is skipped unsearched.  The memo
+    is keyed by components, so it holds no more than the searches made.
     """
     memo = {}
 
     def oracle(region):
-        targets = []
         seen = set()
         for v in sorted(region):
             if v in seen:
@@ -359,8 +353,8 @@ def _component_oracle(g, pattern, cap):
                 found = find_odd_model(g, pattern, sorted(comp), require_nontrivial=True, cap=cap)
                 memo[comp] = found and Target(tuple(found[0].covered_vertices()), found)
             if memo[comp] is not None:
-                targets.append(memo[comp])
-        return min(targets, key=lambda t: t.payload[0].branch_sets[0][0], default=None)
+                return memo[comp]
+        return None
 
     return oracle
 
@@ -388,7 +382,7 @@ def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):
     scope = {}
     for side, offset in (("r", 0), ("b", f_h)):
         side_vertices = [v for v in range(g.n) if partition[v] == side]
-        for comp in connected_components(g, side_vertices):
+        for ci, comp in enumerate(connected_components(g, side_vertices)):
             gcomp, comp_map = induced_subgraph(g, comp)
             dec = decompose(gcomp)
             dec = TreeDecomposition(dec.parent, [[comp_map[v] for v in bag] for bag in dec.bags])
@@ -397,5 +391,5 @@ def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):
                 return out
             for v, col in out.colour.items():
                 raw[v] = offset + col
-                scope[v] = f"{side}:{out.scope[v]}"
+                scope[v] = f"{side}{ci}:{out.scope[v]}"
     return make_colouring(g, raw, scope)

@@ -141,7 +141,7 @@ def reach(adj, start, allowed=None):
     return seen
 
 
-def bfs_tree(adj, start, allowed=None):
+def bfs_tree(adj, start):
     """BFS parents ``{v: parent}`` of the vertices ``reach`` finds, start excluded.
 
     The dict is in visit order, and each vertex's neighbours are taken in
@@ -150,7 +150,7 @@ def bfs_tree(adj, start, allowed=None):
     parent = {}
     order = [start]
     for v in order:  # grows while read: BFS order
-        for u in sorted(adj[v] if allowed is None else adj[v] & allowed):
+        for u in sorted(adj[v]):
             if u not in parent and u != start:
                 parent[u] = v
                 order.append(u)

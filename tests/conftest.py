@@ -139,9 +139,10 @@ def reference_bfs_layers(g, r, allowed=None):
         allowed = frozenset(allowed)
     if not 0 <= r < g.n or (allowed is not None and r not in allowed):
         raise ValueError(f"invalid root {r}")
+    adj = g.adj if allowed is None else {v: g.adj[v] & allowed for v in allowed}
     depth = {r: 0}
     layers = [[r]]
-    for v, p in bfs_tree(g.adj, r, allowed).items():
+    for v, p in bfs_tree(adj, r).items():
         depth[v] = k = depth[p] + 1
         if k == len(layers):
             layers.append([])

@@ -292,6 +292,30 @@ class TestPipeline:
         with pytest.raises(ValueError):
             colour_pipeline(cycle_graph(4), Graph(2, [(0, 1)]), partition=["r", "b"])
 
+    def test_each_scope_tag_names_one_component_of_its_side(self):
+        # each monochromatic component is coloured by its own run, whose tags
+        # all start at /c0: the red {0,1} and {4,5} must still not share one
+        rng = random.Random(67)
+        cases = [(Graph(8, [(0, 1), (2, 3), (4, 5), (6, 7), (1, 2), (3, 4), (5, 6)]), "rrbbrrbb")]
+        for seed in range(30):
+            g = random_partial_ktree(rng.randint(2, 30), rng.randint(1, 2), seed)
+            cases.append((g, [rng.choice("rb") for _ in range(g.n)]))
+        coloured = 0
+        for g, partition in cases:
+            out = colour_pipeline(g, complete_graph(3), partition=partition)
+            if isinstance(out, OddModelCertificate):
+                continue
+            coloured += 1
+            component = {}
+            for side in "rb":
+                for comp in connected_components(g, [v for v in range(g.n) if partition[v] == side]):
+                    component.update(dict.fromkeys(comp, comp))
+            named = {}
+            for v, tag in out.scope.items():
+                named.setdefault(tag, set()).add(component[v])
+            assert all(len(comps) == 1 for comps in named.values()), named
+        assert coloured > 20
+
 
 def ladder(length):
     """Triangulated 2 x ``length`` strip listed in path order (treewidth 2)."""
@@ -380,14 +404,17 @@ class TestComponentOracle:
     """The layer oracle searches component by component, with the cap per component."""
 
     @staticmethod
-    def assert_same_as_whole_region(oracle, g, pattern, region):
-        want = find_odd_model(g, pattern, sorted(region), require_nontrivial=True)
+    def assert_first_component_model(oracle, g, pattern, region, cap=24):
         got = oracle(region)
+        want = first_component_model(g, pattern, region, cap)
         assert (got is None) == (want is None), sorted(region)
         if want is not None:
             assert got.payload == want
             assert list(got.payload[1]) == list(want[1])
             assert got.support == tuple(want[0].covered_vertices())
+        if len(region) <= cap:
+            whole = find_odd_model(g, pattern, sorted(region), require_nontrivial=True, cap=cap)
+            assert (got is None) == (whole is None), sorted(region)
 
     def test_random_regions_agree_with_whole_region_search(self):
         # one oracle per graph and pattern, so later regions hit components
@@ -403,23 +430,26 @@ class TestComponentOracle:
                 oracle = _component_oracle(g, pattern, 24)
                 for _ in range(6):
                     region = frozenset(rng.sample(range(n), rng.randint(6, 16)))
-                    self.assert_same_as_whole_region(oracle, g, pattern, region)
+                    self.assert_first_component_model(oracle, g, pattern, region)
                     found += oracle(region) is not None
                     several += _components_with_a_model(oracle, g, region) >= 2
         assert found > 100 and several > 20
 
     def test_colouring_regions_agree_with_whole_region_search(self, monkeypatch):
         # the regions the dichotomy asks about while colouring small-search-like
-        # inputs; a layer region too small to hold a non-trivial model asks
-        # nothing, so the regions large enough to hold one get their own floor
+        # inputs and the partial 2-trees below, whose layers exceed the cap,
+        # each checked against the per-component reference and, when within
+        # the cap, against the whole-region search; a layer region too small
+        # to hold a non-trivial model asks nothing, so the regions large
+        # enough to hold one get their own floor
         asked = []
 
         def recording(g, pattern, cap):
-            asked.append((g, pattern, []))
+            asked.append((g, pattern, cap, []))
             oracle = _component_oracle(g, pattern, cap)
 
             def record(region):
-                asked[-1][2].append(region)
+                asked[-1][3].append(region)
                 return oracle(region)
 
             return record
@@ -431,15 +461,18 @@ class TestComponentOracle:
             k, seed, keep = rng.choice((3, 4)), rng.randrange(2**31), rng.uniform(0.8, 0.9)
             g = random_partial_ktree(n, k, seed, edge_keep=keep)
             colour_bounded_tw(g, 3, rng.choice((2, 3)), decompose(g))
-        checked = large = 0
-        for g, pattern, regions in asked:
-            oracle = _component_oracle(g, pattern, 24)
+        for seed in range(3):
+            g = random_partial_ktree(100, 2, seed)
+            colour_bounded_tw(g, 3, 2, decompose(g))
+        checked = large = over = 0
+        for g, pattern, cap, regions in asked:
+            oracle = _component_oracle(g, pattern, cap)
             for region in regions:
-                if len(region) <= 24:
-                    self.assert_same_as_whole_region(oracle, g, pattern, region)
-                    checked += 1
-                    large += len(region) >= 2 * pattern.n
-        assert checked > 300 and large > 100
+                self.assert_first_component_model(oracle, g, pattern, region, cap)
+                checked += 1
+                large += len(region) >= 2 * pattern.n
+                over += len(region) > cap
+        assert checked > 800 and large > 150 and over > 10
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_partial_2trees_with_layers_over_the_cap(self, seed):
@@ -453,15 +486,46 @@ class TestComponentOracle:
             ok, why = verify_colouring(g, out, colour_budget(3), clustering_budget(2, dec.width))
             assert ok, why
 
-    def test_the_least_root_vertex_wins_over_the_least_component(self):
-        # the component of vertex 0 holds a model of U_{2,2} whose root branch
-        # set starts at 21; the other one, rooted at 3, comes first in search order
+    @staticmethod
+    def two_components_with_a_model():
+        """The paths 0-20-21-22-23-24 and 1-2-3-4-5-6, each holding a model of U_{2,2}."""
         g = Graph(25, [(0, 20), (20, 21), (21, 22), (22, 23), (23, 24)] + [(v, v + 1) for v in range(1, 6)])
+        return g, frozenset([0, *range(1, 7), *range(20, 25)])
+
+    def test_the_least_component_wins_over_the_least_root_vertex(self):
+        # the component of vertex 0, whose model's root branch set is (21, 22),
+        # is walked first and answers, though the other one's model, rooted
+        # at 3, comes first in whole-region search order
+        g, region = self.two_components_with_a_model()
         pattern = u_graph(2, 2)
-        region = frozenset([0, *range(1, 7), *range(20, 25)])
         target = _component_oracle(g, pattern, 24)(region)
-        assert target.payload == find_odd_model(g, pattern, sorted(region), require_nontrivial=True)
-        assert target.payload[0].branch_sets[0] == (3, 4)
+        assert target.payload == find_odd_model(g, pattern, [0, *range(20, 25)], require_nontrivial=True)
+        assert target.payload[0].branch_sets[0] == (21, 22)
+        assert find_odd_model(g, pattern, sorted(region), require_nontrivial=True)[0].branch_sets[0] == (3, 4)
+
+    def test_components_after_the_first_model_are_not_searched(self, monkeypatch):
+        # one search, of the component of vertex 0, answers
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return find_odd_model(*args, **kwargs)
+
+        monkeypatch.setattr(colouring, "find_odd_model", counting)
+        g, region = self.two_components_with_a_model()
+        target = _component_oracle(g, u_graph(2, 2), 24)(region)
+        assert calls == [[0, 20, 21, 22, 23, 24]]
+        assert target.support == (0, 20, 21, 22, 23, 24)
+
+    def test_a_component_over_the_cap_after_a_model_is_not_searched(self):
+        # a 6-vertex path holding a model of U_{2,2}, then a 13-vertex path
+        # over the cap of 12: the first answers before the second is reached
+        g = Graph(19, [(v, v + 1) for v in range(18) if v != 5])
+        pattern = u_graph(2, 2)
+        with pytest.raises(ResourceLimitError):
+            _component_oracle(g, pattern, 12)(frozenset(range(6, 19)))
+        target = _component_oracle(g, pattern, 12)(frozenset(range(19)))
+        assert target.payload == find_odd_model(g, pattern, range(6), require_nontrivial=True)
 
     def test_the_cap_applies_per_component(self):
         # two disjoint 13-vertex paths: 26 region vertices, 13 per component
@@ -496,6 +560,15 @@ class TestComponentOracle:
             tracemalloc.stop()
         assert not isinstance(out, OddModelCertificate)
         assert peak < 2_000_000, f"peak traced memory {peak} bytes"
+
+
+def first_component_model(g, pattern, region, cap):
+    """Each component's own search, in least-vertex order, up to the first that finds a model."""
+    for comp in connected_components(g, region):
+        found = find_odd_model(g, pattern, comp, require_nontrivial=True, cap=cap)
+        if found is not None:
+            return found
+    return None
 
 
 def _components_with_a_model(oracle, g, region):

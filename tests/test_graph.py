@@ -510,7 +510,8 @@ class TestBfsTree:
             side = {v: rng.random() < 0.5 for v in range(g.n)}
             two_sided = [{u for u in g.adj[v] if side[v] != side[u]} for v in range(g.n)]
             for adj, allowed in ((g.adj, None), (g.adj, xs), (two_sided, xs)):
-                tree = bfs_tree(adj, start, allowed)
+                filtered = adj if allowed is None else [nbrs & allowed for nbrs in adj]
+                tree = bfs_tree(filtered, start)
                 assert {start, *tree} == reach(adj, start, allowed)
                 depth = {start: 0}
                 for v, p in tree.items():  # parents come before their children
