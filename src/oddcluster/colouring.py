@@ -45,7 +45,7 @@ from . import treedepth
 from .errors import InternalConsistencyError
 from .decomposition import TreeDecomposition, decompose, restrict_decomposition
 from .eposa import Target, disjoint_or_hitting
-from .graph import bfs_layers, connected_components, induced_subgraph, reach
+from .graph import bfs_layers, components, connected_components, induced_subgraph
 from .oddmodel import (
     FIND_MODEL_CAP,
     Model,
@@ -136,19 +136,8 @@ def _monochromatic_sets(g, colour):
     classes = {}
     for v, c in colour.items():
         classes.setdefault(c, set()).add(v)
-    adj = g.adj
     for cls in classes.values():
-        while cls:
-            v = cls.pop()
-            comp = {v}
-            nb = adj[v] & cls
-            while nb:
-                cls -= nb
-                comp |= nb
-                frontier, nb = nb, set()
-                for x in frontier:
-                    nb |= adj[x] & cls
-            yield comp
+        yield from components(g.adj, list(cls), cls)
 
 
 def _k1_certificate(d, edge):
@@ -341,14 +330,10 @@ def _component_oracle(g, pattern, cap):
     memo = {}
 
     def oracle(region):
-        seen = set()
-        for v in sorted(region):
-            if v in seen:
-                continue
-            comp = frozenset(reach(g.adj, v, region))
-            seen |= comp
+        for comp in components(g.adj, sorted(region), set(region)):
             if len(comp) < 2 * pattern.n:
                 continue
+            comp = frozenset(comp)
             if comp not in memo:
                 found = find_odd_model(g, pattern, sorted(comp), require_nontrivial=True, cap=cap)
                 memo[comp] = found and Target(tuple(found[0].covered_vertices()), found)

@@ -3,11 +3,11 @@
 Vertices are dense integer indices 0..n-1.  All set-valued outputs are
 sorted ascending so that repeated runs produce identical results.
 
-Walk kernels: ``reach`` when only the reached set matters, ``bfs_tree`` when
-the visit order reaches the output (it takes neighbours in ascending order,
-so the order is fixed by the graph), and two frontier walks: ``bfs_layers``',
-whose layers are sorted sets, and ``colouring._monochromatic_sets``', which
-takes each component out of its colour class as it goes.
+Walk kernels: ``components`` when only the reached sets matter (it takes
+each component out of a pool as it goes), ``bfs_tree`` when the visit order
+reaches the output (it takes neighbours in ascending order, so the order is
+fixed by the graph), and ``bfs_layers``' frontier walk, whose layers are
+sorted sets.
 """
 
 from dataclasses import dataclass
@@ -125,24 +125,30 @@ def induced_subgraph(g, xs):
     return Graph(len(xs), edges), xs
 
 
-def reach(adj, start, allowed=None):
-    """Vertices reachable from ``start`` through ``allowed`` (every vertex when None).
+def components(adj, starts, pool):
+    """Yield, for each vertex of ``starts`` still in the set ``pool``, its component within ``pool``.
 
-    ``adj[v]`` is v's neighbour set, taken in set order: only the set is returned.
+    ``adj[v]`` is v's neighbour set.  Each component is an unsorted set, and
+    it is removed from ``pool`` as it is walked, so ``pool`` ends up holding
+    exactly the vertices that no yielded component contains.
     """
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in adj[v] if allowed is None else adj[v] & allowed:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
+    for v in starts:
+        if v not in pool:
+            continue
+        pool.discard(v)
+        comp = {v}
+        nb = adj[v] & pool
+        while nb:
+            pool -= nb
+            comp |= nb
+            frontier, nb = nb, set()
+            for x in frontier:
+                nb |= adj[x] & pool
+        yield comp
 
 
 def bfs_tree(adj, start):
-    """BFS parents ``{v: parent}`` of the vertices ``reach`` finds, start excluded.
+    """BFS parents ``{v: parent}`` of the component of ``start``, start excluded.
 
     The dict is in visit order, and each vertex's neighbours are taken in
     ascending order, so the tree and its order are fixed by the graph alone.
@@ -159,15 +165,10 @@ def bfs_tree(adj, start):
 
 def connected_components(g, xs=None):
     """Maximal connected vertex sets of G[xs] (all of G when None), each sorted, ordered by minimum element."""
-    if xs is not None:
-        xs = frozenset(xs)
-        if xs and not (0 <= min(xs) and max(xs) < g.n):
+    if xs is None:
+        starts = range(g.n)
+    else:
+        starts = sorted(set(xs))
+        if starts and not (0 <= starts[0] and starts[-1] < g.n):
             raise ValueError(f"vertex set leaves 0..{g.n - 1}")
-    seen = set()
-    comps = []
-    for s in range(g.n) if xs is None else sorted(xs):
-        if s not in seen:
-            comp = reach(g.adj, s, xs)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-    return comps
+    return [tuple(sorted(comp)) for comp in components(g.adj, starts, set(starts))]

@@ -22,7 +22,7 @@ superset subtree.
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .graph import Graph, bfs_tree, reach
+from .graph import Graph, bfs_tree, components
 
 FIND_MODEL_CAP = 24
 
@@ -47,7 +47,8 @@ def _is_spanning_tree(edges, verts, host):
             return False
         adj[a].add(b)
         adj[b].add(a)
-    return reach(adj, next(iter(verts))) == verts
+    next(components(adj, [next(iter(verts))], verts))  # takes that vertex's component out
+    return not verts
 
 
 def joining_edges(g, set_a, set_b):
@@ -126,8 +127,10 @@ def _connected_subsets(adj, available, min_size, fits):
     does not fit has no superset that fits), so a set that does not fit is
     not yielded and ends its whole superset subtree.
     """
+    candidates = set(available)
     for mv in sorted(available):
-        yield from _grow(adj, {mv}, {v for v in available if v > mv}, min_size, fits)
+        candidates.discard(mv)  # ``_grow`` only reads it: the vertices above mv
+        yield from _grow(adj, {mv}, candidates, min_size, fits)
 
 
 def _grow(adj, current, candidates, min_size, fits):

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 
 from oddcluster import Graph, Layering, TreeDecomposition
 from oddcluster.errors import ResourceLimitError
-from oddcluster.graph import bfs_tree, reach
+from oddcluster.graph import bfs_tree
 from oddcluster.treedepth import U_GRAPH_VERTEX_CAP
 
 
@@ -277,7 +277,7 @@ def parity_realizable(g, branch_set, colour):
     bs = set(branch_set)
     if not bs:
         raise ValueError("empty branch set")
-    return reach(_bichromatic_adj(g, bs, colour), min(bs)) == bs
+    return len(_components(_bichromatic_adj(g, bs, colour), bs)) == 1
 
 
 def bichromatic_bfs_tree(g, branch_set, colour):

@@ -36,8 +36,8 @@ from oddcluster.generators import (
     random_partial_ktree,
     star_graph,
 )
-from oddcluster.graph import reach
 from conftest import (
+    _components,
     check_layered_tree,
     empty_graph,
     path_graph,
@@ -572,14 +572,7 @@ def first_component_model(g, pattern, region, cap):
 
 
 def _components_with_a_model(oracle, g, region):
-    count = 0
-    seen = set()
-    for v in sorted(region):
-        if v not in seen:
-            comp = frozenset(reach(g.adj, v, region))
-            seen |= comp
-            count += oracle(comp) is not None
-    return count
+    return sum(oracle(comp) is not None for comp in _components(g.adj, region))
 
 
 class TestPostconditions:

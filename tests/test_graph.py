@@ -16,7 +16,7 @@ from oddcluster import (
 from oddcluster.colouring import max_monochromatic_component, monochromatic_components
 from oddcluster import graph as graph_module
 from oddcluster.errors import ResourceLimitError
-from oddcluster.graph import bfs_tree, reach
+from oddcluster.graph import bfs_tree, components
 from oddcluster import oracles
 from oddcluster.generators import star_graph
 from conftest import (
@@ -395,19 +395,69 @@ class TestReachAgainstUnionFind:
             assert got == max((len(c) for c in monochromatic_components(g, colour)), default=0)
             assert got == max(map(len, oracles._monochromatic_components(g, colour)), default=0)
 
+    def test_arguments_are_left_unchanged(self):
+        # the walks take components out of their own pools, never out of the caller's sets
+        for rng, g in sparse_graphs(47, 100):
+            xs = {v for v in range(g.n) if rng.random() < 0.6}
+            kept = set(xs)
+            connected_components(g, xs)
+            assert xs == kept
+            colour = {v: rng.randrange(3) for v in range(g.n) if rng.random() < 0.8}
+            kept = dict(colour)
+            max_monochromatic_component(g, colour)
+            monochromatic_components(g, colour)
+            assert colour == kept
+
     def test_allowed_and_edge_filter(self):
         for rng, g in sparse_graphs(7, 200):
             allowed = {v for v in range(g.n) if rng.random() < 0.6}
             parity = {v: rng.randrange(2) for v in range(g.n)}
             start = rng.randrange(g.n)
             kept = [(a, b) for a, b in g.edges if parity[a] != parity[b]]
-            want = next(c for c in union_find_components(allowed | {start}, kept) if start in c)
+            pool = allowed | {start}
+            want = next(c for c in union_find_components(pool, kept) if start in c)
             kept_adj = [{u for u in g.adj[v] if parity[v] != parity[u]} for v in range(g.n)]
-            assert reach(kept_adj, start, allowed) == set(want)
+            assert list(components(kept_adj, [start], pool)) == [set(want)]
+            assert pool == allowed - set(want)
 
-    def test_start_outside_allowed_is_reached(self):
-        assert reach(path(3).adj, 0, {2}) == {0}
-        assert reach(path(3).adj, 1, {0, 2}) == {0, 1, 2}
+    def test_start_outside_the_pool_yields_nothing(self):
+        pool = {1, 2}
+        assert list(components(path(3).adj, [0], pool)) == []
+        assert pool == {1, 2}
+        assert list(components(path(3).adj, [0, 2, 1], pool)) == [{1, 2}]
+        assert pool == set()
+
+    def test_components_of_a_pool(self):
+        check_components_of_a_pool(components)
+
+    def test_a_kernel_that_leaves_reached_vertices_in_the_pool_fails(self):
+        def walks_a_copy(adj, starts, pool):  # yields the right sets, leaves the pool whole
+            yield from components(adj, starts, set(pool))
+
+        def forgets_between_starts(adj, starts, pool):  # meets a component once per start in it
+            for s in starts:
+                if s in pool:
+                    yield next(components(adj, [s], set(pool)))
+
+        for mutant in (walks_a_copy, forgets_between_starts):
+            with pytest.raises(AssertionError):
+                check_components_of_a_pool(mutant)
+
+
+def check_components_of_a_pool(kernel):
+    """``kernel`` against union-find on seeded sparse graphs, with shuffled starts that leave the pool."""
+    for rng, g in sparse_graphs(43, 200):
+        pool = {v for v in range(g.n) if rng.random() < 0.7}
+        starts = rng.sample(range(g.n), rng.randint(0, g.n))
+        want_pool = set(pool)
+        by_vertex = {v: set(c) for c in union_find_components(pool, g.edges) for v in c}
+        want = []
+        for s in starts:  # first-met order: a component comes out at its first start
+            if s in want_pool:
+                want.append(by_vertex[s])
+                want_pool -= by_vertex[s]
+        assert list(kernel(g.adj, starts, pool)) == want
+        assert pool == want_pool
 
 
 class TestWalksOnVertexSets:
@@ -503,7 +553,7 @@ class TestBfsTree:
     def test_path_from_the_middle(self):
         assert list(bfs_tree(path(5).adj, 2).items()) == [(1, 2), (3, 2), (0, 1), (4, 3)]
 
-    def test_is_a_bfs_tree_of_what_reach_finds(self):
+    def test_is_a_bfs_tree_of_what_reach_finds(self):  # what ``components`` finds
         for rng, g in sparse_graphs(23, 150):
             xs = set(rng.sample(range(g.n), rng.randint(1, g.n)))
             start = min(xs)
@@ -512,7 +562,8 @@ class TestBfsTree:
             for adj, allowed in ((g.adj, None), (g.adj, xs), (two_sided, xs)):
                 filtered = adj if allowed is None else [nbrs & allowed for nbrs in adj]
                 tree = bfs_tree(filtered, start)
-                assert {start, *tree} == reach(adj, start, allowed)
+                pool = set(range(g.n) if allowed is None else allowed)
+                assert {start, *tree} == next(components(adj, [start], pool))
                 depth = {start: 0}
                 for v, p in tree.items():  # parents come before their children
                     assert v in g.adj[p] and (adj is g.adj or side[p] != side[v])

@@ -77,3 +77,7 @@ def test_exports_are_exactly_the_library_surface():
 )
 def test_test_only_helpers_stay_out_of_the_library(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_reach_stays_retired():
+    assert not hasattr(graph, "reach")  # ``components`` is the one component walk
