@@ -11,9 +11,9 @@ whose region (the layer minus its least vertex u_i) has fewer than
 2|V(U_{h-1,d})| vertices skips the decomposition restriction and the
 dichotomy: a non-trivial model puts at least 2 vertices in each branch
 set, so no subset of the region holds one, the oracle would answer None
-everywhere and the hitting set would come out empty.  Skipping it is exact; only u_i is hit.  U_{h-1,d}
-is built when a layer first has a non-empty region, so a run whose
-regions are all empty never builds it.
+everywhere and the hitting set would come out empty.  Skipping it is exact; only u_i is hit.  The
+threshold is counted by ``u_order``; U_{h-1,d} is built only for a region
+that reaches it, so a U over its size cap stops only a run that needs U.
 
 The whole recursion runs on the input graph and decomposition: a
 sub-problem (a component, a layer's region, what the hitting set leaves) is
@@ -54,7 +54,7 @@ from .oddmodel import (
     verify_model,
     verify_odd_witness,
 )
-from .treedepth import u_child_embedding, u_graph
+from .treedepth import u_child_embedding, u_graph, u_order
 
 H_MAX = 60  # largest h with a colour budget
 D_MAX = 2**30  # largest d (and width) with a clustering budget
@@ -287,18 +287,16 @@ def _colour_component(g, h, d, dec, cap, layering, prefix, base, raw, scope):
     sub_size = colour_budget(h - 1)
     raw[layering.root] = base
     scope[layering.root] = f"{prefix}/L0"
-    pattern = None  # U_{h-1,d}, built when a layer first needs it
+    # a region of fewer than 2|V(U_{h-1,d})| vertices holds no non-trivial
+    # model: the dichotomy would find none and hit nothing, so it is not run
+    room = 2 * u_order(h - 1, d, g.n)
     for i in range(1, len(layering.layers)):
         u_i, *region = layering.layers[i]
         offset = base if i % 2 == 0 else base + sub_size + 1
         hit = [u_i]
-        if region and pattern is None:
-            pattern = u_graph(h - 1, d)
-        # a region of fewer than 2|V(U)| vertices holds no non-trivial model:
-        # the dichotomy would find none and hit nothing, so it is not run
-        if region and len(region) >= 2 * pattern.n:
+        if len(region) >= room:
             dec_i = restrict_decomposition(dec, region)
-            dich = disjoint_or_hitting(g, dec_i, _component_oracle(g, pattern, cap), d)
+            dich = disjoint_or_hitting(g, dec_i, _component_oracle(g, u_graph(h - 1, d), cap), d)
             if dich.is_disjoint_arm:
                 submodels = [t.payload for t in dich.disjoint]
                 return assemble_certificate(g, layering, i, u_i, submodels, h, d)

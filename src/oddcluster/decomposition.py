@@ -277,7 +277,6 @@ def _tree_from_bags(order, bags):
     if not order:
         return TreeDecomposition((-1,), [()])
     pos = {v: i for i, v in enumerate(order)}
-    bags = [sorted(b) for b in bags]
     children = [[] for _ in order]
     for i, v in enumerate(order[:-1]):
         p = len(order)
@@ -287,7 +286,7 @@ def _tree_from_bags(order, bags):
         children[p if p < len(order) else i + 1].append(i)  # the next bag joins isolated pieces
     for kids in children:
         if len(kids) > 1:
-            kids.sort(key=lambda y: bags[y][0])  # stable: ties stay in index order
+            kids.sort(key=lambda y: min(bags[y]))  # stable: ties stay in index order
     return preorder_decomposition(children, [len(order) - 1], bags)
 
 
@@ -295,7 +294,7 @@ def exact_treewidth(g, cap=EXACT_TREEWIDTH_CAP):
     """Minimum-width tree-decomposition via iterative deepening on width."""
     if g.n > cap:
         raise ResourceLimitError(f"exact treewidth capped at {cap} vertices, got {g.n}")
-    mf_dec = _tree_from_bags(*_min_fill_elimination(g))
+    mf_dec = heuristic_decomposition(g)
     ub = mf_dec.width
     for k in range(_degeneracy_lower_bound(g, ub), ub):
         found = _find_order_within(g, k)

@@ -14,25 +14,38 @@ TREE_DEPTH_CAP = 20
 U_GRAPH_VERTEX_CAP = 4096
 
 
+def u_order(h, d, limit):
+    """|V(U_{h,d})|, counted level by level; past ``limit`` the count stops.
+
+    The result is exact when it is at most ``limit``; otherwise it is the
+    running total at the first level that passed ``limit``, so a huge h or d
+    costs a few levels, never d**h.
+    """
+    n, level = 0, 1
+    for _ in range(h):
+        n += level
+        if n > limit:
+            break
+        level *= d
+    return n
+
+
 @lru_cache(maxsize=64)
 def u_graph(h, d):
     """U_{h,d}: the closure of the complete d-ary tree of vertex-height h.
 
     Vertices are numbered breadth-first from the root 0, so the parent of v
     is (v - 1) // d, and each vertex is joined to all its strict ancestors.
-    Both totals are counted level by level and checked against the caps
-    before anything is allocated, so a huge h or d stops at the count.
+    Both totals are checked against the caps before anything is allocated,
+    the vertex count first, so a huge h or d stops at the count.
     Memoized: a ``Graph`` is immutable, so every caller can share one copy.
     """
     if h < 1 or d < 1:
         raise ValueError("h and d must be >= 1")
-    n = m = 0
-    level = 1
-    for depth in range(h):  # `level` vertices at this depth, `depth` ancestors each
-        n, m, level = n + level, m + depth * level, level * d
-        if n > U_GRAPH_VERTEX_CAP:
-            raise ResourceLimitError(f"U_{{{h},{d}}} has over {U_GRAPH_VERTEX_CAP} vertices")
-    check_graph_size(n, m)
+    n = u_order(h, d, U_GRAPH_VERTEX_CAP)
+    if n > U_GRAPH_VERTEX_CAP:
+        raise ResourceLimitError(f"U_{{{h},{d}}} has over {U_GRAPH_VERTEX_CAP} vertices")
+    check_graph_size(n, sum(depth * d**depth for depth in range(h)))  # `depth` ancestors per vertex
     edges = []
     for v in range(1, n):
         a = v
@@ -52,7 +65,7 @@ def u_child_embedding(h, d, j):
         raise ValueError("need h >= 2 and 0 <= j < d")
     # in BFS order the children of v are d*v + 1 .. d*v + d, in both trees
     emb = {0: 1 + j}
-    for w in range(1, sum(d**level for level in range(h - 1))):
+    for w in range(1, u_order(h - 1, d, U_GRAPH_VERTEX_CAP)):
         emb[w] = d * emb[(w - 1) // d] + 1 + (w - 1) % d
     return emb
 

@@ -14,7 +14,10 @@ import pytest
 
 from oddcluster import (
     Graph,
+    clustering_budget,
     colour_bounded_tw,
+    colour_budget,
+    connected_tree_depth,
     exact_treewidth,
     tree_depth,
     validate_decomposition,
@@ -23,8 +26,9 @@ from oddcluster import (
 )
 from oddcluster.cli import build_parser, main
 from oddcluster.colouring import OddModelCertificate
+from oddcluster.decomposition import decompose
 from oddcluster.errors import ParseError
-from oddcluster.generators import complete_graph, cycle_graph, random_partial_ktree
+from oddcluster.generators import complete_graph, cycle_graph, random_partial_ktree, star_graph
 from oddcluster.io import (
     certificate_from_json,
     certificate_to_json,
@@ -35,7 +39,7 @@ from oddcluster.io import (
     parse_partition,
     serialize_graph,
 )
-from conftest import random_graph
+from conftest import path_graph, random_graph
 
 
 class TestGraphFormat:
@@ -329,6 +333,23 @@ class TestCli:
         code, out = run_cli(capsys, ["verify", "colouring", gp, write("c10.json", out), *budgets])
         assert code == 0 and json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("p", [16, 20])
+    @pytest.mark.parametrize("name", ["c5", "c12", "pkt3-200"])
+    def test_pipeline_against_a_long_path(self, capsys, write, name, p):
+        # ctd(P_16) = ctd(P_20) = 5, and U_{4,16} and U_{4,20} are over the
+        # pattern size cap; no layer region can hold a U_{4,d}-model, so the
+        # colouring never builds it
+        g = {"c5": cycle_graph(5), "c12": cycle_graph(12), "pkt3-200": random_partial_ktree(200, 3, 1)}[name]
+        path = path_graph(p)
+        gp = write("g.txt", serialize_graph(g))
+        code, out = run_cli(capsys, ["pipeline", gp, write("p.txt", serialize_graph(path))])
+        assert code == 0
+        h = connected_tree_depth(path)[0]
+        w = decompose(g).width
+        budgets = ["--max-colours", str(colour_budget(h)), "--max-cluster", str(clustering_budget(p, w))]
+        code, out = run_cli(capsys, ["verify", "colouring", gp, write("out.json", out), *budgets])
+        assert h == 5 and code == 0 and json.loads(out)["ok"]
+
     def test_pipeline_empty_graph_with_a_partition(self, capsys, write):
         # an empty or blank partition file is the empty graph's partition
         gp = write("g.txt", "p 0 0\n")
@@ -345,18 +366,28 @@ class TestCli:
         assert code == 3
         assert json.loads(out)["h"] >= 1
 
-    def test_colour_builds_the_pattern_only_for_a_nonempty_layer_region(self, capsys, write):
-        # U_{13,2} is over the pattern size cap: a 6-vertex path, whose layer
-        # regions are all empty, never builds it, while C_5's layer 1 does
-        path = write("p6.txt", "p 6 5\n0 1\n1 2\n2 3\n3 4\n4 5\n")
-        code, out = run_cli(capsys, ["colour", path, "--h", "14", "--d", "2"])
-        assert code == 0 and json.loads(out)["num_colours"] >= 1
-        c5 = write("c5.txt", serialize_graph(cycle_graph(5)))
-        code = main(["colour", c5, "--h", "14", "--d", "2"])
+    def test_colour_builds_the_pattern_only_for_a_region_that_can_hold_a_model(self, capsys, write):
+        # U_{13,2} is over the pattern size cap, but no layer region of a
+        # 6-vertex path or of C_5 reaches 2|V(U_{13,2})| vertices, so the
+        # colouring never needs it
+        for name, g in (("p6.txt", path_graph(6)), ("c5.txt", cycle_graph(5))):
+            gp = write(name, serialize_graph(g))
+            code, out = run_cli(capsys, ["colour", gp, "--h", "14", "--d", "2"])
+            assert code == 0 and json.loads(out)["num_colours"] >= 1
+            code, out = run_cli(capsys, ["verify", "colouring", gp, write("out.json", out)])
+            assert code == 0 and json.loads(out)["ok"]
+        # U_{2,4096} has 4097 vertices: a star's one region, its leaves but
+        # the least, reaches 2 * 4097 = 8194 vertices at 8196 vertices, and
+        # only then is U built, over the cap
+        gp = write("star8195.txt", serialize_graph(star_graph(8195)))
+        code, out = run_cli(capsys, ["colour", gp, "--h", "3", "--d", "4096"])
+        assert code == 0
+        code, out = run_cli(capsys, ["verify", "colouring", gp, write("star.json", out)])
+        assert code == 0 and json.loads(out)["ok"]
+        code = main(["colour", write("star8196.txt", serialize_graph(star_graph(8196))), "--h", "3", "--d", "4096"])
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("resource limit:")
+        assert captured.err.splitlines() == ["resource limit: U_{2,4096} has over 4096 vertices"]
 
     def test_parse_error_exit_code(self, capsys, write):
         gp = write("g.txt", "not a graph\n")

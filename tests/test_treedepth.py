@@ -6,7 +6,13 @@ import pytest
 
 from oddcluster import Graph, connected_tree_depth, tree_depth, u_graph
 from oddcluster.errors import ResourceLimitError
-from oddcluster.treedepth import _bit_components, _TreeDepthSearch, u_child_embedding
+from oddcluster.treedepth import (
+    U_GRAPH_VERTEX_CAP,
+    _bit_components,
+    _TreeDepthSearch,
+    u_child_embedding,
+    u_order,
+)
 from conftest import (
     brute_tree_depth,
     closure,
@@ -103,6 +109,40 @@ class TestUGraph:
         assert g.adj[0] == frozenset(range(1, 7))
 
 
+class TestUOrder:
+    def test_every_order_within_the_cap(self):
+        # the closed form is safe here: h and d are small
+        cap = U_GRAPH_VERTEX_CAP
+        for d in range(1, cap + 1):
+            for h in range(1, cap + 2):
+                want = h if d == 1 else (d**h - 1) // (d - 1)
+                if want > cap:
+                    assert u_order(h, d, cap) > cap, (h, d)
+                    break
+                assert u_order(h, d, cap) == want, (h, d)
+
+    def test_matches_the_built_pattern(self):
+        for d in [*range(1, 9), 63, 64, 4095]:
+            for h in range(1, 40):
+                n = u_order(h, d, U_GRAPH_VERTEX_CAP)
+                if n > U_GRAPH_VERTEX_CAP:
+                    with pytest.raises(ResourceLimitError):
+                        u_graph(h, d)
+                    break
+                assert u_graph(h, d).n == n, (h, d)
+
+    @pytest.mark.parametrize(
+        "h, d, want",
+        [pytest.param(10**4000, 2, 8191, id="1e4000-2"), (4097, 1, 4097), (2, 2**30, 2**30 + 1)],
+    )
+    def test_stops_at_the_first_level_past_the_limit(self, h, d, want):
+        assert u_order(h, d, U_GRAPH_VERTEX_CAP) == want
+
+    def test_limit_boundaries(self):
+        assert u_order(5, 3, 0) == 1
+        assert u_order(5, 3, 121) == 121
+
+
 class TestChildEmbedding:
     @pytest.mark.parametrize("h,d", [(2, 1), (2, 3), (3, 2), (3, 3), (4, 2)])
     def test_embeds_edges(self, h, d):
@@ -112,6 +152,7 @@ class TestChildEmbedding:
         for j in range(d):
             emb = u_child_embedding(h, d, j)
             assert set(emb) == set(range(small.n))
+            assert len(emb) == u_order(h - 1, d, U_GRAPH_VERTEX_CAP)
             for a, b in small.edges:
                 assert big.has_edge(emb[a], emb[b])
             img = set(emb.values())
