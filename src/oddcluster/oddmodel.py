@@ -17,6 +17,12 @@ degree.  Each candidate set is generated once and passes one feasibility
 test, whether the rest of the region still has room for the later branch
 sets; that test is monotone, so a candidate that fails it ends its whole
 superset subtree.
+
+The placement runs on int bitmasks: bit i is the region's i-th smallest
+vertex, and the vertex neighbourhoods, the free vertices, each candidate
+set, its frontier and each placed set's neighbourhood are masks.  Lowest bit
+first is ascending vertex order, so candidates come in the order a search
+over sorted vertex sets takes them: the same first model and witness.
 """
 
 from dataclasses import dataclass
@@ -117,38 +123,51 @@ def is_nontrivial(model):
     return all(len(bs) >= 2 for bs in model.branch_sets.values())
 
 
-def _connected_subsets(adj, available, min_size, fits):
-    """Connected subsets of ``available`` with at least ``min_size`` vertices that fit.
+def _connected_masks(adjmask, candidates, min_size, fits, current=0, nbhd=0):
+    """Connected subsets of ``candidates`` with at least ``min_size`` vertices that fit.
 
-    Standard once-only enumeration, by minimum vertex, then by growing the
-    set through its frontier and banning each frontier vertex for later
-    branches at the same level.  ``fits(current)`` is called once on each
-    set of at least ``min_size`` vertices; it must be monotone (a set that
-    does not fit has no superset that fits), so a set that does not fit is
-    not yielded and ends its whole superset subtree.
+    Yields ``(set mask, neighbourhood mask)``.  Standard once-only
+    enumeration: a tree of sets rooted at the empty set, whose frontier is
+    every candidate; each set grows by its frontier vertices, lowest bit
+    first, and bans each one for the later branches at its level.
+    ``fits(mask)`` is called once on each set of at least ``min_size``
+    vertices; it must be monotone (a set that does not fit has no superset
+    that fits), so a set that does not fit is not yielded and ends its whole
+    superset subtree.
     """
-    candidates = set(available)
-    for mv in sorted(available):
-        candidates.discard(mv)  # ``_grow`` only reads it: the vertices above mv
-        yield from _grow(adj, {mv}, candidates, min_size, fits)
-
-
-def _grow(adj, current, candidates, min_size, fits):
-    if len(current) >= min_size:
+    if current.bit_count() >= min_size:
         if not fits(current):
             return
-        yield tuple(sorted(current))
-    frontier = sorted({u for v in current for u in adj[v] if u in candidates and u not in current})
-    banned = set()
-    for u in frontier:
-        yield from _grow(adj, current | {u}, candidates - banned, min_size, fits)
-        banned.add(u)
+        yield current, nbhd
+    frontier = nbhd & candidates & ~current if current else candidates
+    while frontier:
+        low = frontier & -frontier
+        grown = nbhd | adjmask[low.bit_length() - 1]
+        if current or grown & candidates or min_size < 2:  # else one vertex, too small to yield
+            yield from _connected_masks(adjmask, candidates, min_size, fits, current | low, grown)
+        candidates ^= low  # banned for the later branches at this level
+        frontier ^= low
 
 
-def _max_edge_packing_bound(g, available):
-    """Cheap upper bound on the number of disjoint edges inside ``available``."""
-    covered = {v for v in available if g.adj[v] & available}
-    return len(covered) // 2
+def _has_room(adjmask, rest, slots, require_nontrivial):
+    """Whether mask ``rest`` may hold ``slots`` disjoint branch sets: the search's room bound.
+
+    A non-trivial set holds an edge, so it needs two vertices with a
+    neighbour in ``rest``; any other set needs a vertex.
+    """
+    if not require_nontrivial:
+        return rest.bit_count() >= slots
+    need = 2 * slots
+    spare = rest.bit_count() - need  # how many vertices of ``rest`` may lack a neighbour in it
+    left = rest
+    while need > 0 and spare >= 0:  # one of them reaches its bound before ``left`` runs out
+        low = left & -left
+        left ^= low
+        if adjmask[low.bit_length() - 1] & rest:
+            need -= 1
+        else:
+            spare -= 1
+    return spare >= 0
 
 
 def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_MODEL_CAP):
@@ -160,52 +179,58 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     exceeds the cap — callers rely on "None means none exists", so there is
     no heuristic fallback.  A region of any size without room for
     ``pattern.n`` branch sets is answered first, and so is the empty
-    pattern, whose empty model every region holds; ``room`` is the same
-    bound that each candidate set must leave for the branch sets after it.
+    pattern, whose empty model every region holds; ``room`` is the bound
+    that ``_has_room`` asks each candidate set to leave for the sets after it.
+    The masks are built only after the cap check.
     """
-    region = sorted(set(range(g.n) if region is None else region))
-    for v in region:
-        if not 0 <= v < g.n:
-            raise ValueError(f"invalid region vertex {v}")
-    region_set = set(region)
-
-    def room(available):
-        # an upper bound on the disjoint branch sets that fit in ``available``:
-        # a non-trivial one holds an edge, any other a vertex
-        return _max_edge_packing_bound(g, available) if require_nontrivial else len(available)
-
-    if room(region_set) < pattern.n:
+    region_set = set(range(g.n) if region is None else region)
+    invalid = [v for v in region_set if not 0 <= v < g.n]
+    if invalid:
+        raise ValueError(f"invalid region vertex {min(invalid)}")
+    room = len(region_set)
+    if require_nontrivial:
+        room = sum(not g.adj[v].isdisjoint(region_set) for v in region_set) // 2
+    if room < pattern.n:
         return None
-    if pattern.n and len(region) > cap:
+    if not pattern.n:
+        return _witness_search(g, pattern, [], {})
+    if len(region_set) > cap:
         raise ResourceLimitError(
-            f"odd-model search capped at {cap} region vertices, got {len(region)}"
+            f"odd-model search capped at {cap} region vertices, got {len(region_set)}"
         )
-    adj = {v: g.adj[v] & region_set for v in region}
-    min_size = 2 if require_nontrivial else 1
+    region = sorted(region_set)
+    bit = {v: 1 << i for i, v in enumerate(region)}
+    adjmask = [sum(bit[u] for u in g.adj[v] & region_set) for v in region]
     order = sorted(range(pattern.n), key=lambda x: (-pattern.degree(x), x))
+    search = (g, pattern, order, region, adjmask, require_nontrivial)
+    return _place(search, 0, (1 << len(region)) - 1, {})
 
-    def place(k, available, sets):
-        if k == len(order):
-            return _witness_search(g, pattern, order, sets)
-        x = order[k]
-        slots_after = len(order) - k - 1
 
-        def fits(current):
-            # room for the later branch sets; only tightens as the set grows
-            return room(available - current) >= slots_after
+def _place(search, k, available, sets):
+    """Place the branch sets of ``order[k:]`` in mask ``available``; the first odd model, or None.
 
-        for cand in _connected_subsets(adj, available, min_size, fits):
-            if all(y not in sets or _joined(g, sets[y], cand) for y in pattern.adj[x]):
-                sets[x] = cand
-                found = place(k + 1, available.difference(cand), sets)
-                if found is not None:
-                    return found
-                del sets[x]
-        return None
+    ``sets`` maps each pattern vertex of ``order[:k]`` to its set's mask and neighbourhood mask.
+    """
+    g, pattern, order, region, adjmask, require_nontrivial = search
+    if k == len(order):
+        vertex_sets = {x: tuple(v for i, v in enumerate(region) if m >> i & 1) for x, (m, _) in sets.items()}
+        return _witness_search(g, pattern, order, vertex_sets)
+    x = order[k]
+    slots_after = len(order) - k - 1
+    placed = [sets[y][1] for y in pattern.adj[x] if y in sets]
 
-    found = place(0, region_set, {})
-    place = None  # drop the closure's reference to itself: no cycle for the collector
-    return found
+    def fits(current):
+        # room for the later branch sets; only tightens as the set grows
+        return _has_room(adjmask, available & ~current, slots_after, require_nontrivial)
+
+    for cand, nbhd in _connected_masks(adjmask, available, 2 if require_nontrivial else 1, fits):
+        if all(nb & cand for nb in placed):  # joined to every placed neighbour's set
+            sets[x] = cand, nbhd
+            found = _place(search, k + 1, available & ~cand, sets)
+            if found is not None:
+                return found
+            del sets[x]
+    return None
 
 
 def _witness_search(g, pattern, order, sets):

@@ -7,8 +7,9 @@ frontier walk is checked against, bipartiteness with odd-cycle extraction,
 the single-bag decomposition, small graph families, the closure of a rooted
 forest and the complete d-ary tree that ``u_graph`` is checked against, a
 forest's children lists, the parity test of a branch-set colouring,
-triangulated strips and seeded relabellings) are used only by the tests, so
-they live here rather than in the library.  A rooted forest is a parent
+triangulated strips, seeded relabellings and the set-based odd-model search
+that the bitmask search replaced) are used only by the tests, so they live
+here rather than in the library.  A rooted forest is a parent
 array, as the tree-depth witnesses are: ``parent[v]`` is v's parent, -1 at a
 root.
 """
@@ -16,7 +17,7 @@ root.
 import random
 from itertools import combinations, permutations
 
-from oddcluster import Graph, Layering, TreeDecomposition
+from oddcluster import Graph, Layering, Model, TreeDecomposition
 from oddcluster.errors import ResourceLimitError
 from oddcluster.graph import bfs_tree
 from oddcluster.treedepth import U_GRAPH_VERTEX_CAP
@@ -307,3 +308,145 @@ def permuted(g, seed):
     perm = list(range(g.n))
     random.Random(seed).shuffle(perm)
     return Graph(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def reference_find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=24):
+    """The set-based odd-model search that ``find_odd_model`` replaced, as its reference.
+
+    Each candidate branch set is a Python set and each frontier a sorted set
+    comprehension; the witness search keeps one colour dict per pattern
+    vertex and tests each colouring with ``parity_realizable``.  Same order,
+    so the same first model and witness, dict order included.
+    """
+    region = sorted(set(range(g.n) if region is None else region))
+    region_set = set(region)
+
+    def room(available):
+        return _max_edge_packing_bound(g, available) if require_nontrivial else len(available)
+
+    if room(region_set) < pattern.n:
+        return None
+    if pattern.n and len(region) > cap:
+        raise ResourceLimitError(f"odd-model search capped at {cap} region vertices, got {len(region)}")
+    adj = {v: g.adj[v] & region_set for v in region}
+    min_size = 2 if require_nontrivial else 1
+    order = sorted(range(pattern.n), key=lambda x: (-pattern.degree(x), x))
+
+    def place(k, available, sets):
+        if k == len(order):
+            return _reference_witness_search(g, pattern, order, sets)
+        x = order[k]
+        slots_after = len(order) - k - 1
+
+        def fits(current):
+            return room(available - current) >= slots_after
+
+        for cand in connected_subsets(adj, available, min_size, fits):
+            if all(y not in sets or _joining_edges(g, sets[y], cand) for y in pattern.adj[x]):
+                sets[x] = cand
+                found = place(k + 1, available.difference(cand), sets)
+                if found is not None:
+                    return found
+                del sets[x]
+        return None
+
+    found = place(0, region_set, {})
+    place = None  # drop the closure's reference to itself
+    return found
+
+
+def connected_subsets(adj, available, min_size, fits):
+    """Connected subsets of ``available``, as sorted tuples, by the set-based enumeration.
+
+    By minimum vertex, then by growing the set through its frontier and
+    banning each frontier vertex for later branches at the same level.
+    ``fits(current)`` is asked once on each set of at least ``min_size``
+    vertices; a set that does not fit is not yielded and ends its whole
+    superset subtree.
+    """
+    for mv in sorted(available):
+        yield from _grow(adj, {mv}, {v for v in available if v > mv}, min_size, fits)
+
+
+def _grow(adj, current, candidates, min_size, fits):
+    if len(current) >= min_size:
+        if not fits(current):
+            return
+        yield tuple(sorted(current))
+    frontier = sorted({u for v in current for u in adj[v] if u in candidates and u not in current})
+    banned = set()
+    for u in frontier:
+        yield from _grow(adj, current | {u}, candidates - banned, min_size, fits)
+        banned.add(u)
+
+
+def _max_edge_packing_bound(g, available):
+    """Upper bound on the disjoint edges inside ``available``: half its non-isolated vertices."""
+    covered = {v for v in available if g.adj[v] & available}
+    return len(covered) // 2
+
+
+def _joining_edges(g, set_a, set_b):
+    sb = set(set_b)
+    return [(v, u) for v in sorted(set(set_a)) for u in sorted(g.adj[v] & sb)]
+
+
+def _reference_witness_search(g, pattern, order, sets):
+    options = {}
+    for x, bs in sets.items():
+        opts = []
+        for bits in range(1 << len(bs)):
+            col = {v: (bits >> i) & 1 for i, v in enumerate(bs)}
+            if parity_realizable(g, bs, col):
+                opts.append(col)
+        if not opts:
+            return None
+        options[x] = opts
+    joins = {}
+    for x, y in pattern.edges:
+        je = _joining_edges(g, sets[x], sets[y])
+        if not je:
+            return None
+        joins[(x, y)] = je
+
+    chosen = {}
+
+    def assign(k):
+        if k == len(order):
+            return True
+        x = order[k]
+        for col in options[x]:
+            chosen[x] = col
+            ok = True
+            for y in pattern.adj[x]:
+                if y not in chosen or y == x:
+                    continue
+                key = (x, y) if (x, y) in joins else (y, x)
+                mono = False
+                for a, b in joins[key]:
+                    ca = chosen[x].get(a, chosen[y].get(a))
+                    cb = chosen[x].get(b, chosen[y].get(b))
+                    if ca == cb:
+                        mono = True
+                        break
+                if not mono:
+                    ok = False
+                    break
+            if ok and assign(k + 1):
+                return True
+            del chosen[x]
+        return False
+
+    odd = assign(0)
+    assign = None  # drop the closure's reference to itself
+    if not odd:
+        return None
+    colour = {}
+    for x in sets:
+        colour.update(chosen[x])
+    model = Model(
+        pattern=pattern,
+        branch_sets={x: tuple(bs) for x, bs in sets.items()},
+        branch_trees={x: bichromatic_bfs_tree(g, bs, chosen[x]) for x, bs in sets.items()},
+    )
+    return model, colour

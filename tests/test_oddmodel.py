@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -13,15 +15,19 @@ from oddcluster import (
     verify_odd_witness,
 )
 from oddcluster.errors import ResourceLimitError
-from oddcluster.oddmodel import (
-    Model,
-    _connected_subsets,
-    _max_edge_packing_bound,
-    joining_edges,
-)
+from oddcluster import oddmodel
+from oddcluster.oddmodel import Model, _connected_masks
 from oddcluster.oracles import _spanning_trees, _tree_two_colourings
-from oddcluster.generators import complete_graph, cycle_graph, star_graph
-from conftest import bichromatic_bfs_tree, is_bipartite, parity_realizable, path_graph, random_small_graph
+from oddcluster.generators import complete_graph, cycle_graph, random_partial_ktree, star_graph
+import conftest
+from conftest import (
+    connected_subsets,
+    is_bipartite,
+    parity_realizable,
+    path_graph,
+    random_small_graph,
+    reference_find_odd_model,
+)
 
 K1 = Graph(1)
 K2 = Graph(2, [(0, 1)])
@@ -161,17 +167,20 @@ def _a_component(g):
 
 
 class TestConnectedSubsetEnumeration:
+    """The mask enumerator, with bit v for vertex v of a small graph."""
+
     def test_matches_brute_force(self):
         rng = random.Random(5)
         for _ in range(40):
             g = random_small_graph(rng, 7)
-            avail = set(range(g.n))
-            adj = {v: g.adj[v] & avail for v in avail}
+            adjmask, avail = _masks(g, range(g.n))
             got = set()
-            for s in _connected_subsets(adj, avail, 1, lambda cur: True):
+            for mask, nbhd in _connected_masks(adjmask, avail, 1, lambda cur: True):
+                s = _vertices(mask)
                 assert s not in got, "subset enumerated twice"
                 got.add(s)
-            assert got == _brute_connected_subsets(g, avail)
+                assert nbhd == _union(adjmask, mask)
+            assert got == _brute_connected_subsets(g, set(range(g.n)))
 
     def test_monotone_fits_matches_brute_force_filtering(self):
         # fits is asked once per set of at least min_size vertices, and a set
@@ -180,25 +189,54 @@ class TestConnectedSubsetEnumeration:
         for _ in range(60):
             g = random_small_graph(rng, 8)
             avail = set(rng.sample(range(g.n), rng.randint(1, g.n)))
-            adj = {v: g.adj[v] & avail for v in avail}
+            adjmask, mask = _masks(g, avail)
             min_size = rng.choice((1, 2))
             heavy = set(rng.sample(sorted(avail), min(len(avail), 3)))
             limit = rng.randint(1, 5)
 
             def ok(cur):
-                return len(cur) <= limit and len(cur & heavy) <= 1
+                return len(cur) <= limit and len(set(cur) & heavy) <= 1
 
             def fits(cur):
-                asked.append(frozenset(cur))
-                return ok(cur)
+                asked.append(_vertices(cur))
+                return ok(asked[-1])
 
             asked = []
-            got = list(_connected_subsets(adj, avail, min_size, fits))
-            expect = {s for s in _brute_connected_subsets(g, avail) if len(s) >= min_size and ok(set(s))}
+            got = [_vertices(m) for m, _ in _connected_masks(adjmask, mask, min_size, fits)]
+            expect = {s for s in _brute_connected_subsets(g, avail) if len(s) >= min_size and ok(s)}
             assert len(got) == len(set(got)) and set(got) == expect
             assert len(asked) == len(set(asked)), "a set was tested twice"
-            assert all(len(s) >= min_size for s in asked)
-            assert {frozenset(s) for s in got} <= set(asked)
+            assert all(len(s) >= min_size for s in asked) and set(got) <= set(asked)
+            # each tested set grew from a tested set that fitted, one vertex smaller
+            fitted = {s for s in asked if ok(s)}
+            for s in asked:
+                if len(s) > min_size:
+                    assert any(tuple(v for v in s if v != u) in fitted for u in s[1:]), s
+            # and the tests come in the set-based enumeration's order
+            ref_asked = []
+
+            def ref_fits(cur):
+                ref_asked.append(tuple(sorted(cur)))
+                return ok(ref_asked[-1])
+
+            list(connected_subsets({v: g.adj[v] & avail for v in avail}, avail, min_size, ref_fits))
+            assert asked == ref_asked
+
+
+def _masks(g, avail):
+    """Each vertex's neighbourhood as a mask, and the mask of ``avail``."""
+    return [sum(1 << u for u in g.adj[v]) for v in range(g.n)], sum(1 << v for v in avail)
+
+
+def _vertices(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _union(adjmask, mask):
+    out = 0
+    for v in _vertices(mask):
+        out |= adjmask[v]
+    return out
 
 
 def _brute_connected_subsets(g, avail):
@@ -245,6 +283,24 @@ class TestFindOddModel:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             find_odd_model(Graph(30), K2, cap=24)
+
+    def test_a_region_far_over_the_cap_builds_no_masks(self):
+        # a 200 000-vertex perfect matching has room for K_3's three edges, so
+        # only the cap answers it; masks built before the cap check would take
+        # about 2.5 GB (one per vertex, as wide as the region), the region set
+        # and its vertices about 18 MB
+        n = 200_000
+        g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                find_odd_model(g, K3, require_nontrivial=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000, f"peak traced memory {peak} bytes"
+        assert time.perf_counter() - start < 10
 
     def test_no_room_is_answered_before_the_cap(self):
         # five vertices cannot hold six branch sets, whatever the cap
@@ -343,11 +399,10 @@ def _witness_by_tree_enumeration(g, h, sets):
 
 
 class TestAgainstThePreviousSearch:
-    """The search against the one it replaced, kept below as the reference.
+    """The bitmask search against the set-based one it replaced (``conftest.reference_find_odd_model``).
 
-    The reference tests every candidate twice (before yielding it and after
-    the join test) and keeps one colour dict per pattern vertex in the
-    witness search; the two must return the same model and witness.
+    Bit order is vertex order, so the two must return the same model and the
+    same witness, dict order included.
     """
 
     PATTERNS = {
@@ -377,137 +432,56 @@ class TestAgainstThePreviousSearch:
                     elif rng.random() < 0.3:
                         region = rng.sample(range(g.n), rng.randint(1, g.n))
                     got = find_odd_model(g, h, region, require_nontrivial=nt)
-                    want = _reference_find_odd_model(g, h, region, require_nontrivial=nt)
+                    want = reference_find_odd_model(g, h, region, require_nontrivial=nt)
                     assert got == want, (g, name, nt, region)
                     if got is not None:
                         assert list(got[1]) == list(want[1])
                         found += 1
         assert found > 100
 
+    def test_sparse_regions_of_partial_2trees(self, monkeypatch):
+        # regions of 12 to 16 vertices, where most candidate sets pass the
+        # join test and the room bound does the pruning; both searches must
+        # ask it equally often, which a bound that kept the candidate's own
+        # vertices would not, though it returns the same models
+        asked = {"masks": 0, "sets": 0}
+        has_room, subsets = oddmodel._has_room, conftest.connected_subsets
 
-def _reference_find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=24):
-    if region is None:
-        region = range(g.n)
-    region = sorted(set(region))
-    region_set = set(region)
-    if require_nontrivial and _max_edge_packing_bound(g, region_set) < pattern.n:
-        return None
-    if len(region) > cap:
-        raise ResourceLimitError("capped")
-    adj = {v: g.adj[v] & region_set for v in region}
-    min_size = 2 if require_nontrivial else 1
-    order = sorted(range(pattern.n), key=lambda x: (-pattern.degree(x), x))
-    pattern_pos = {x: k for k, x in enumerate(order)}
+        def counted_room(*args):
+            asked["masks"] += 1
+            return has_room(*args)
 
-    if pattern.n * min_size > len(region):
-        return None
+        def counted_subsets(adj, available, min_size, fits):
+            def counted_fits(current):
+                asked["sets"] += 1
+                return fits(current)
 
-    def feasible_rest(available, slots_left):
-        if require_nontrivial:
-            return _max_edge_packing_bound(g, available) >= slots_left
-        return len(available) >= slots_left
+            return subsets(adj, available, min_size, counted_fits)
 
-    def place(k, available, sets):
-        if k == len(order):
-            return _reference_witness_search(g, pattern, order, sets)
-        x = order[k]
-        slots_after = len(order) - k - 1
+        monkeypatch.setattr(oddmodel, "_has_room", counted_room)
+        monkeypatch.setattr(conftest, "connected_subsets", counted_subsets)
+        rng = random.Random(2718)
+        found = 0
+        for _ in range(10):
+            g = random_partial_ktree(20, 2, rng.randrange(1 << 30), edge_keep=rng.uniform(0.4, 0.8))
+            region = rng.sample(range(g.n), rng.randint(12, 16))
+            for h in (K3, u_graph(2, 2), u_graph(2, 3)):
+                for nt in (False, True):
+                    got = find_odd_model(g, h, region, require_nontrivial=nt)
+                    want = reference_find_odd_model(g, h, region, require_nontrivial=nt)
+                    assert got == want, (g, h, nt, region)
+                    if got is not None:
+                        assert list(got[1]) == list(want[1])
+                        found += 1
+                    assert asked["masks"] == asked["sets"], (g, h, nt, region)
+        assert found > 20 and asked["masks"] > 10_000
 
-        def prune(current):
-            if len(current) >= min_size:
-                return not feasible_rest(available - current, slots_after)
-            return False
-
-        for mv in sorted(available):
-            cands = _reference_grow(adj, {mv}, {v for v in available if v > mv}, prune)
-            for cand in cands:
-                if len(cand) < min_size:
-                    continue
-                cand_set = set(cand)
-                ok = True
-                for y in pattern.adj[x]:
-                    if pattern_pos[y] < k and not joining_edges(g, sets[y], cand):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if not feasible_rest(available - cand_set, slots_after):
-                    continue
-                sets[x] = cand
-                found = place(k + 1, available - cand_set, sets)
-                if found is not None:
-                    return found
-                del sets[x]
-        return None
-
-    return place(0, region_set, {})
-
-
-def _reference_grow(adj, current, candidates, prune):
-    yield tuple(sorted(current))
-    if prune(current):
-        return
-    frontier = sorted({u for v in current for u in adj[v] if u in candidates and u not in current})
-    banned = set()
-    for u in frontier:
-        yield from _reference_grow(adj, current | {u}, candidates - banned, prune)
-        banned.add(u)
-
-
-def _reference_witness_search(g, pattern, order, sets):
-    options = {}
-    for x, bs in sets.items():
-        opts = []
-        for bits in range(1 << len(bs)):
-            col = {v: (bits >> i) & 1 for i, v in enumerate(bs)}
-            if parity_realizable(g, bs, col):
-                opts.append(col)
-        if not opts:
-            return None
-        options[x] = opts
-    joins = {}
-    for x, y in pattern.edges:
-        je = joining_edges(g, sets[x], sets[y])
-        if not je:
-            return None
-        joins[(x, y)] = je
-
-    chosen = {}
-
-    def assign(k):
-        if k == len(order):
-            return True
-        x = order[k]
-        for col in options[x]:
-            chosen[x] = col
-            ok = True
-            for y in pattern.adj[x]:
-                if y not in chosen or y == x:
-                    continue
-                key = (x, y) if (x, y) in joins else (y, x)
-                mono = False
-                for a, b in joins[key]:
-                    ca = chosen[x].get(a, chosen[y].get(a))
-                    cb = chosen[x].get(b, chosen[y].get(b))
-                    if ca == cb:
-                        mono = True
-                        break
-                if not mono:
-                    ok = False
-                    break
-            if ok and assign(k + 1):
-                return True
-            del chosen[x]
-        return False
-
-    if not assign(0):
-        return None
-    colour = {}
-    for x in sets:
-        colour.update(chosen[x])
-    model = Model(
-        pattern=pattern,
-        branch_sets={x: tuple(bs) for x, bs in sets.items()},
-        branch_trees={x: bichromatic_bfs_tree(g, bs, chosen[x]) for x, bs in sets.items()},
-    )
-    return model, colour
+    def test_the_twenty_vertex_region_that_took_seconds(self):
+        # the set-based search took about 3 s here: 70 533 placements, each
+        # restarting the enumeration from every free vertex
+        g = random_partial_ktree(30, 2, 395325658, edge_keep=0.5980392015580994)
+        region = [0, 1, 2, 5, 6, 7, 8, 9, 12, 13, 15, 16, 17, 18, 20, 21, 22, 26, 27, 29]
+        model, witness = find_odd_model(g, u_graph(2, 3), region, require_nontrivial=True)
+        assert model.branch_sets == {0: (0, 7), 1: (1, 6, 12, 13), 2: (2, 5), 3: (9, 16)}
+        assert verify_model(g, model) == (True, None)
+        assert verify_odd_witness(g, model, witness) == (True, None)

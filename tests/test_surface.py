@@ -81,3 +81,8 @@ def test_test_only_helpers_stay_out_of_the_library(owner, name):
 
 def test_reach_stays_retired():
     assert not hasattr(graph, "reach")  # ``components`` is the one component walk
+
+
+@pytest.mark.parametrize("name", ["_connected_subsets", "_grow"])
+def test_set_based_enumeration_stays_retired(name):
+    assert not hasattr(oddmodel, name)  # ``_connected_masks`` enumerates; the set form is conftest's reference
