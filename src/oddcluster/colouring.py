@@ -23,13 +23,14 @@ layer that runs the dichotomy restricts the input decomposition once, to its
 region; since a restriction keeps exactly the nodes whose bags meet its
 vertex set, each under its nearest kept ancestor, this is the same tree that
 restricting component by component would give.
-The pipeline copies a monochromatic component only to decompose it: the
-bags are mapped back to the host's ids and the component is coloured on the
-host, so colourings and certificates come back in host ids with nothing to
-relabel.  Each vertex's colour and scope are written once, into two maps
-the run owns: a level colours from the palette offset it is given and
-returns a certificate or None, so nothing is copied or re-offset on the way
-back up.
+The pipeline colours each monochromatic component on the host, so
+colourings and certificates come back in host ids with nothing to relabel;
+it copies and decomposes a component, at most once, only when a layer
+region first needs its decomposition (or the cluster check its width), and
+maps the bags back to the host's ids.  Each vertex's colour and scope are
+written once, into two maps the run owns: a level colours from the palette
+offset it is given and returns a certificate or None, so nothing is copied
+or re-offset on the way back up.
 
 Palette discipline: the palette of size f(h) = 2*(f(h-1)+1) splits into an
 even-layer and an odd-layer subpalette of size f(h-1)+1 each; within a
@@ -39,6 +40,7 @@ subpalette across same-parity layers cannot merge monochromatic components;
 this is asserted, not assumed.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 from . import treedepth
@@ -222,8 +224,17 @@ def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
     xs = frozenset().union(*dec.bags)
     if xs and not (0 <= min(xs) and max(xs) < g.n):
         raise ValueError(f"decomposition bags leave 0..{g.n - 1}")
+    return _colour_checked(g, h, d, lambda: dec, cap, xs)
+
+
+def _colour_checked(g, h, d, get_dec, cap, xs):
+    """``colour_bounded_tw`` on G[xs], with ``get_dec()`` returning its decomposition when first needed.
+
+    The cluster check reads the width only for a cluster over d, the budget at width 0:
+    d*w + d - w never decreases in w when d >= 1, so a cluster of at most d is within every width's.
+    """
     raw, scope = {}, {}
-    cert = _colour_rec(g, h, d, dec, cap, xs, "", 0, raw, scope)
+    cert = _colour_rec(g, h, d, get_dec, cap, xs, "", 0, raw, scope)
     if cert is not None:
         ok, why = verify_certificate(g, cert)
         if not ok:
@@ -231,15 +242,12 @@ def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
         return cert
     _assert_scope_locality(g, raw, scope)
     colouring = make_colouring(g, raw, scope)
-    budgets = Budgets(h=h, d=d, w=max(dec.width, 0))
-    if colouring.num_colours > budgets.colours:
-        raise InternalConsistencyError(
-            f"{colouring.num_colours} colours exceed the budget {budgets.colours}"
-        )
-    if colouring.max_cluster > budgets.clustering:
-        raise InternalConsistencyError(
-            f"cluster of {colouring.max_cluster} exceeds the budget {budgets.clustering}"
-        )
+    if colouring.num_colours > colour_budget(h):
+        raise InternalConsistencyError(f"{colouring.num_colours} colours exceed the budget {colour_budget(h)}")
+    if colouring.max_cluster > clustering_budget(d, 0):
+        budget = clustering_budget(d, max(get_dec().width, 0))
+        if colouring.max_cluster > budget:
+            raise InternalConsistencyError(f"cluster of {colouring.max_cluster} exceeds the budget {budget}")
     return colouring
 
 
@@ -255,7 +263,7 @@ def _assert_scope_locality(g, raw, scope):
                 )
 
 
-def _colour_rec(g, h, d, dec, cap, xs, prefix, base, raw, scope):
+def _colour_rec(g, h, d, get_dec, cap, xs, prefix, base, raw, scope):
     """Colour G[xs], a frozenset of host vertices, from palette base..base+f(h)-1.
 
     Writes each vertex's colour into ``raw`` and its scope into ``scope``,
@@ -275,14 +283,14 @@ def _colour_rec(g, h, d, dec, cap, xs, prefix, base, raw, scope):
         if s not in seen:
             layering = bfs_layers(g, s, xs)
             seen.update(*layering.layers)
-            cert = _colour_component(g, h, d, dec, cap, layering, f"{prefix}/c{ci}", base, raw, scope)
+            cert = _colour_component(g, h, d, get_dec, cap, layering, f"{prefix}/c{ci}", base, raw, scope)
             if cert is not None:
                 return cert
             ci += 1
     return None
 
 
-def _colour_component(g, h, d, dec, cap, layering, prefix, base, raw, scope):
+def _colour_component(g, h, d, get_dec, cap, layering, prefix, base, raw, scope):
     """Colour a connected component of the recursion from its BFS layering, layer by layer."""
     sub_size = colour_budget(h - 1)
     raw[layering.root] = base
@@ -295,7 +303,7 @@ def _colour_component(g, h, d, dec, cap, layering, prefix, base, raw, scope):
         offset = base if i % 2 == 0 else base + sub_size + 1
         hit = [u_i]
         if len(region) >= room:
-            dec_i = restrict_decomposition(dec, region)
+            dec_i = restrict_decomposition(get_dec(), region)
             dich = disjoint_or_hitting(g, dec_i, _component_oracle(g, u_graph(h - 1, d), cap), d)
             if dich.is_disjoint_arm:
                 submodels = [t.payload for t in dich.disjoint]
@@ -306,7 +314,7 @@ def _colour_component(g, h, d, dec, cap, layering, prefix, base, raw, scope):
             raw[v] = offset + sub_size
             scope[v] = tag
         rest = frozenset(region).difference(hit)
-        if rest and _colour_rec(g, h - 1, d, dec, cap, rest, f"{prefix}/L{i}", offset, raw, scope):
+        if rest and _colour_rec(g, h - 1, d, get_dec, cap, rest, f"{prefix}/L{i}", offset, raw, scope):
             raise InternalConsistencyError(
                 f"odd U_{{{h-1},{d}}}-model found in a region the hitting set certified clean"
             )
@@ -366,10 +374,13 @@ def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):
     for side, offset in (("r", 0), ("b", f_h)):
         side_vertices = [v for v in range(g.n) if partition[v] == side]
         for ci, comp in enumerate(connected_components(g, side_vertices)):
-            gcomp, comp_map = induced_subgraph(g, comp)
-            dec = decompose(gcomp)
-            dec = TreeDecomposition(dec.parent, [[comp_map[v] for v in bag] for bag in dec.bags])
-            out = colour_bounded_tw(g, h, d, dec, cap=cap)
+            @functools.cache
+            def get_dec(comp=comp):
+                gcomp, comp_map = induced_subgraph(g, comp)
+                dec = decompose(gcomp)
+                return TreeDecomposition(dec.parent, [[comp_map[v] for v in bag] for bag in dec.bags])
+
+            out = _colour_checked(g, h, d, get_dec, cap, frozenset(comp))
             if isinstance(out, OddModelCertificate):
                 return out
             for v, col in out.colour.items():

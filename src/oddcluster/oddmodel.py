@@ -181,24 +181,35 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     ``pattern.n`` branch sets is answered first, and so is the empty
     pattern, whose empty model every region holds; ``room`` is the bound
     that ``_has_room`` asks each candidate set to leave for the sets after it.
-    The masks are built only after the cap check.
+    The region is built as a set, and the masks, only after the cap check.
+    A non-trivial K_1 is answered without the search: by the region's least
+    edge (a, b), a the least vertex with a neighbour in the region and b its
+    least such neighbour, with witness {a: 1, b: 0}, the search's first model.
     """
-    region_set = set(range(g.n) if region is None else region)
-    invalid = [v for v in region_set if not 0 <= v < g.n]
-    if invalid:
-        raise ValueError(f"invalid region vertex {min(invalid)}")
-    room = len(region_set)
-    if require_nontrivial:
-        room = sum(not g.adj[v].isdisjoint(region_set) for v in region_set) // 2
+    if region is None:  # the whole graph: room is counted on ``g.adj``, the set waits for the cap
+        size = g.n
+        room = sum(map(bool, g.adj)) // 2 if require_nontrivial else size
+    else:
+        region_set = set(region)
+        invalid = [v for v in region_set if not 0 <= v < g.n]
+        if invalid:
+            raise ValueError(f"invalid region vertex {min(invalid)}")
+        size = len(region_set)
+        room = sum(not g.adj[v].isdisjoint(region_set) for v in region_set) // 2 if require_nontrivial else size
     if room < pattern.n:
         return None
     if not pattern.n:
         return _witness_search(g, pattern, [], {})
-    if len(region_set) > cap:
-        raise ResourceLimitError(
-            f"odd-model search capped at {cap} region vertices, got {len(region_set)}"
-        )
+    if size > cap:
+        raise ResourceLimitError(f"odd-model search capped at {cap} region vertices, got {size}")
+    if region is None:
+        region_set = set(range(g.n))
     region = sorted(region_set)
+    if require_nontrivial and pattern.n == 1:  # room >= 1: some region vertex has a neighbour in it
+        a = next(v for v in region if not g.adj[v].isdisjoint(region_set))
+        b = min(g.adj[a] & region_set)
+        model = Model(pattern=pattern, branch_sets={0: (a, b)}, branch_trees={0: ((a, b),)})
+        return model, {a: 1, b: 0}
     bit = {v: 1 << i for i, v in enumerate(region)}
     adjmask = [sum(bit[u] for u in g.adj[v] & region_set) for v in region]
     order = sorted(range(pattern.n), key=lambda x: (-pattern.degree(x), x))

@@ -7,8 +7,9 @@ frontier walk is checked against, bipartiteness with odd-cycle extraction,
 the single-bag decomposition, small graph families, the closure of a rooted
 forest and the complete d-ary tree that ``u_graph`` is checked against, a
 forest's children lists, the parity test of a branch-set colouring,
-triangulated strips, seeded relabellings and the set-based odd-model search
-that the bitmask search replaced) are used only by the tests, so they live
+triangulated strips, seeded relabellings, the set-based odd-model search
+that the bitmask search replaced and the pipeline that decomposes every
+monochromatic component up front) are used only by the tests, so they live
 here rather than in the library.  A rooted forest is a parent
 array, as the tree-depth witnesses are: ``parent[v]`` is v's parent, -1 at a
 root.
@@ -17,7 +18,20 @@ root.
 import random
 from itertools import combinations, permutations
 
-from oddcluster import Graph, Layering, Model, TreeDecomposition
+from oddcluster import (
+    Graph,
+    Layering,
+    Model,
+    OddModelCertificate,
+    TreeDecomposition,
+    colour_bounded_tw,
+    colour_budget,
+    connected_components,
+    connected_tree_depth,
+    induced_subgraph,
+    make_colouring,
+)
+from oddcluster.decomposition import decompose
 from oddcluster.errors import ResourceLimitError
 from oddcluster.graph import bfs_tree
 from oddcluster.treedepth import U_GRAPH_VERTEX_CAP
@@ -450,3 +464,30 @@ def _reference_witness_search(g, pattern, order, sets):
         branch_trees={x: bichromatic_bfs_tree(g, bs, chosen[x]) for x, bs in sets.items()},
     )
     return model, colour
+
+
+def eager_colour_pipeline(g, pattern_graph, partition, cap=24):
+    """``colour_pipeline`` with a partition, decomposing every monochromatic component up front.
+
+    Each component is copied, decomposed, and coloured by ``colour_bounded_tw``
+    with the decomposition's bags mapped back to host ids, whether or not a
+    layer region of it ever walks the decomposition.
+    """
+    h, _ = connected_tree_depth(pattern_graph)
+    d = pattern_graph.n
+    raw, scope = {}, {}
+    for side, offset in (("r", 0), ("b", colour_budget(h))):
+        comps = connected_components(g, [v for v in range(g.n) if partition[v] == side])
+        decs = []
+        for comp in comps:
+            gcomp, comp_map = induced_subgraph(g, comp)
+            dec = decompose(gcomp)
+            decs.append(TreeDecomposition(dec.parent, [[comp_map[v] for v in bag] for bag in dec.bags]))
+        for ci, dec in enumerate(decs):
+            out = colour_bounded_tw(g, h, d, dec, cap=cap)
+            if isinstance(out, OddModelCertificate):
+                return out
+            for v, col in out.colour.items():
+                raw[v] = offset + col
+                scope[v] = f"{side}{ci}:{out.scope[v]}"
+    return make_colouring(g, raw, scope)

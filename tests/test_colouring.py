@@ -1,6 +1,7 @@
 import gc
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from oddcluster import (
     colour_budget,
     colour_pipeline,
     connected_components,
+    connected_tree_depth,
     exact_treewidth,
     find_odd_model,
     heuristic_decomposition,
@@ -39,6 +41,7 @@ from oddcluster.generators import (
 from conftest import (
     _components,
     check_layered_tree,
+    eager_colour_pipeline,
     empty_graph,
     path_graph,
     random_tree,
@@ -315,6 +318,72 @@ class TestPipeline:
                 named.setdefault(tag, set()).add(component[v])
             assert all(len(comps) == 1 for comps in named.values()), named
         assert coloured > 20
+
+
+class TestComponentDecompositionOnDemand:
+    """The pipeline decomposes a component only when a layer region or the cluster check needs it."""
+
+    PATTERNS = {"K3": complete_graph(3), "P4": path_graph(4), "C4": cycle_graph(4), "K4": complete_graph(4)}
+
+    def test_same_result_as_decomposing_every_component(self):
+        # K3, P4, C4 and K4 (h = 3 or 4) colour these graphs, some with a
+        # cluster over d, which makes the cluster check read the width of its
+        # component's decomposition; the stars K2 and P3 (h = 2) find
+        # certificates in them, every 4th graph being all red
+        rng = random.Random(1627)
+        patterns = [*self.PATTERNS.values(), path_graph(2), path_graph(3)]
+        arms, over_d = Counter(), 0
+        for seed in range(250):
+            g = random_partial_ktree(rng.randint(1, 40), rng.randint(1, 3), seed)
+            partition = ["r"] * g.n if seed % 4 == 0 else [rng.choice("rb") for _ in range(g.n)]
+            for pattern in patterns:
+                want = eager_colour_pipeline(g, pattern, partition)
+                got = colour_pipeline(g, pattern, partition)
+                assert_same_outcome(got, want)
+                arms[type(want).__name__] += 1
+                over_d += isinstance(want, colouring.Colouring) and want.max_cluster > pattern.n
+        assert arms["Colouring"] > 1000 and arms["OddModelCertificate"] > 50, arms
+        assert over_d > 0
+
+    def test_components_without_room_are_not_decomposed(self, monkeypatch):
+        # each monochromatic component is a path or a cycle: every BFS layer
+        # has at most two vertices, so no layer region reaches the room of a
+        # non-trivial model, at any level, and no cluster exceeds d
+        def refuse(*args):
+            raise AssertionError("a component without room was decomposed")
+
+        monkeypatch.setattr(colouring, "decompose", refuse)
+        n, width = 63, 9  # a 7 x 9 grid whose rows alternate red and blue
+        rows = [(v, v + 1) for v in range(n) if (v + 1) % width]
+        grid = Graph(n, rows + [(v, v + width) for v in range(n - width)])
+        cases = [(grid, ["rb"[v // width % 2] for v in range(n)]), (cycle_graph(12), "rrrrbbbbbbbb")]
+        for g, partition in cases:
+            for pattern in self.PATTERNS.values():
+                out = colour_pipeline(g, pattern, partition)
+                assert isinstance(out, colouring.Colouring)
+                f_h = colour_budget(connected_tree_depth(pattern)[0])
+                ok, why = verify_colouring(g, out, 2 * f_h, clustering_budget(pattern.n, 0))
+                assert ok, why
+
+    def test_each_component_is_decomposed_at_most_once(self, monkeypatch):
+        copied = []
+        induced = colouring.induced_subgraph
+
+        def counted(g, comp):
+            copied.append(tuple(comp))
+            return induced(g, comp)
+
+        monkeypatch.setattr(colouring, "induced_subgraph", counted)
+        rng = random.Random(1709)
+        components = 0
+        for seed in range(40):
+            g = random_partial_ktree(rng.randint(10, 40), rng.randint(2, 3), seed)
+            partition = [rng.choice("rrb") for _ in range(g.n)]
+            for side in "rb":
+                components += len(connected_components(g, [v for v in range(g.n) if partition[v] == side]))
+            colour_pipeline(g, complete_graph(3), partition)
+        assert len(copied) == len(set(copied))
+        assert 0 < len(copied) < components
 
 
 def ladder(length):
@@ -595,6 +664,13 @@ class TestPostconditions:
         with pytest.raises(InternalConsistencyError, match="cluster of"):
             colour_bounded_tw(g, 2, 2, decompose(g))
 
+    def test_clustering_budget_through_the_pipeline(self, monkeypatch):
+        # the width is read for a cluster over d; a budget of 0 is under any cluster
+        monkeypatch.setattr(colouring, "clustering_budget", lambda d, w: 0)
+        g = cycle_graph(8)
+        with pytest.raises(InternalConsistencyError, match="cluster of"):
+            colour_pipeline(g, complete_graph(3), partition="rrrbbrrb")
+
     def test_model_in_a_region_certified_clean(self, monkeypatch):
         # a dichotomy that hits nothing leaves layer 1 of the wheel, a path
         # on the rim, to the h-1 recursion, which finds an edge in it
@@ -714,6 +790,12 @@ class TestNoCyclicGarbage:
     def test_colour_bounded_tw(self, collector_off):
         g = random_partial_ktree(16, 3, 1)
         assert not isinstance(colour_bounded_tw(g, 3, 2, decompose(g)), OddModelCertificate)
+        assert gc.collect() == 0
+
+    def test_colour_pipeline(self, collector_off):
+        g = random_partial_ktree(30, 2, 1)
+        partition = ["rb"[v % 3 == 0] for v in range(g.n)]
+        assert not isinstance(colour_pipeline(g, complete_graph(3), partition), OddModelCertificate)
         assert gc.collect() == 0
 
 

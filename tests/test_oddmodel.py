@@ -288,7 +288,8 @@ class TestFindOddModel:
         # a 200 000-vertex perfect matching has room for K_3's three edges, so
         # only the cap answers it; masks built before the cap check would take
         # about 2.5 GB (one per vertex, as wide as the region), the region set
-        # and its vertices about 18 MB
+        # and its vertices 17.6 MB, and counting room on the adjacency sets
+        # about 2 KB
         n = 200_000
         g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
         start = time.perf_counter()
@@ -299,8 +300,23 @@ class TestFindOddModel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32_000_000, f"peak traced memory {peak} bytes"
+        assert peak < 100_000, f"peak traced memory {peak} bytes"
         assert time.perf_counter() - start < 10
+
+    def test_the_whole_graph_is_counted_without_a_region_set(self):
+        # room without require_nontrivial is the vertex count: no set of the
+        # 200 000 vertices is built before the cap answers (17.6 MB traced
+        # when the region set came first)
+        n = 200_000
+        g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="got 200000"):
+                find_odd_model(g, K3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, f"peak traced memory {peak} bytes"
 
     def test_no_room_is_answered_before_the_cap(self):
         # five vertices cannot hold six branch sets, whatever the cap
@@ -485,3 +501,39 @@ class TestAgainstThePreviousSearch:
         assert model.branch_sets == {0: (0, 7), 1: (1, 6, 12, 13), 2: (2, 5), 3: (9, 16)}
         assert verify_model(g, model) == (True, None)
         assert verify_odd_witness(g, model, witness) == (True, None)
+
+
+class TestNonTrivialK1:
+    """A non-trivial K_1 is the region's least edge, answered without the search."""
+
+    def test_same_model_and_witness_as_the_search(self):
+        rng = random.Random(1601)
+        found = 0
+        for _ in range(3000):
+            g = random_small_graph(rng, 14)
+            region = None if rng.random() < 0.2 else rng.sample(range(g.n), rng.randint(1, g.n))
+            got = find_odd_model(g, K1, region, require_nontrivial=True)
+            want = reference_find_odd_model(g, K1, region, require_nontrivial=True)
+            assert got == want, (g, region)
+            if got is not None:
+                assert list(got[1].items()) == list(want[1].items())
+                found += 1
+            else:
+                assert not any(g.adj[v] & set(region or range(g.n)) for v in region or range(g.n))
+        assert 1000 < found < 3000
+
+    def test_no_branch_set_is_placed(self, monkeypatch):
+        placed = []
+        place = oddmodel._place
+
+        def counted(*args):
+            placed.append(args[1])
+            return place(*args)
+
+        monkeypatch.setattr(oddmodel, "_place", counted)
+        g = random_partial_ktree(20, 2, 7)
+        for region in (None, range(3, 17), [4, 9, 11, 15]):
+            find_odd_model(g, K1, region, require_nontrivial=True)
+        assert placed == []
+        assert find_odd_model(g, K1, require_nontrivial=False) is not None
+        assert placed
