@@ -142,17 +142,6 @@ def _monochromatic_sets(g, colour):
         yield from components(g.adj, list(cls), cls)
 
 
-def _k1_certificate(d, edge):
-    """Non-trivial odd U_{1,d} = K_1 certificate: an edge, coloured red/blue."""
-    a, b = edge
-    model = Model(
-        pattern=u_graph(1, d),
-        branch_sets={0: (a, b)},
-        branch_trees={0: ((a, b),)},
-    )
-    return OddModelCertificate(h=1, d=d, model=model, witness={a: 0, b: 1})
-
-
 def assemble_certificate(g, layering, i, u_i, submodels, h, d):
     """Glue d non-trivial odd U_{h-1,d}-models, ``(Model, witness)`` pairs, below layers 0..i-1.
 
@@ -269,10 +258,10 @@ def _colour_rec(g, h, d, get_dec, cap, xs, prefix, base, raw, scope):
     Writes each vertex's colour into ``raw`` and its scope into ``scope``,
     the run's two maps, and returns a certificate if one is found, else None.
     """
-    if h == 1:
-        edge = min(((a, b) for a in xs for b in g.adj[a] & xs if a < b), default=None)
-        if edge is not None:
-            return _k1_certificate(d, edge)
+    if h == 1:  # U_{1,d} = K_1: a non-trivial model is an edge, answered at any size
+        found = find_odd_model(g, u_graph(1, d), xs, require_nontrivial=True)
+        if found is not None:
+            return OddModelCertificate(h=1, d=d, model=found[0], witness=found[1])
         tag = f"{prefix}/base" if prefix else "base"
         for v in sorted(xs):
             raw[v] = base

@@ -330,13 +330,11 @@ def restrict_decomposition(dec, xs):
     lies in one child's part.  That child was asked first and found no
     target there, or its part was deleted; so a dropped node never stops
     the dichotomy walk, which makes the same stops, with the same bags and
-    unions, on either decomposition.  When ``xs`` holds every vertex of
-    ``dec``, ``dec`` itself is returned; when it meets no bag, one empty bag is.
+    unions, on either decomposition.  When ``xs`` meets no bag, one empty
+    bag is returned.
     """
     trace = dec.trace
     xs = frozenset(xs)
-    if trace.keys() <= xs:
-        return dec
     nodes = sorted({x for v in xs for x in trace.get(v, ())})
     if not nodes:
         return TreeDecomposition((-1,), [()])

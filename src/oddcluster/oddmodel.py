@@ -177,14 +177,14 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     witness, ``(Model, {covered vertex: 0 | 1})``, or ``None`` with an
     exhaustiveness guarantee.  Raises ResourceLimitError when the region
     exceeds the cap — callers rely on "None means none exists", so there is
-    no heuristic fallback.  A region of any size without room for
-    ``pattern.n`` branch sets is answered first, and so is the empty
-    pattern, whose empty model every region holds; ``room`` is the bound
-    that ``_has_room`` asks each candidate set to leave for the sets after it.
-    The region is built as a set, and the masks, only after the cap check.
-    A non-trivial K_1 is answered without the search: by the region's least
-    edge (a, b), a the least vertex with a neighbour in the region and b its
-    least such neighbour, with witness {a: 1, b: 0}, the search's first model.
+    no heuristic fallback.  Three answers come before the cap, for a region
+    of any size: no model when the region has no room for ``pattern.n``
+    branch sets (``room`` is the bound that ``_has_room`` asks each
+    candidate set to leave for the sets after it); the empty model of the
+    empty pattern; and a non-trivial K_1, the region's least edge (a, b),
+    a the least vertex with a neighbour in the region and b its least such
+    neighbour, with witness {a: 1, b: 0}, the search's first model.  The
+    whole graph's region set, and the masks, are built only after the cap check.
     """
     if region is None:  # the whole graph: room is counted on ``g.adj``, the set waits for the cap
         size = g.n
@@ -200,16 +200,20 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
         return None
     if not pattern.n:
         return _witness_search(g, pattern, [], {})
+    if require_nontrivial and pattern.n == 1:  # room >= 1: some region vertex has a neighbour in it
+        if region is None:
+            a = next(v for v, nbrs in enumerate(g.adj) if nbrs)
+            b = min(g.adj[a])
+        else:
+            a = min(v for v in region_set if not g.adj[v].isdisjoint(region_set))
+            b = min(g.adj[a] & region_set)
+        model = Model(pattern=pattern, branch_sets={0: (a, b)}, branch_trees={0: ((a, b),)})
+        return model, {a: 1, b: 0}
     if size > cap:
         raise ResourceLimitError(f"odd-model search capped at {cap} region vertices, got {size}")
     if region is None:
         region_set = set(range(g.n))
     region = sorted(region_set)
-    if require_nontrivial and pattern.n == 1:  # room >= 1: some region vertex has a neighbour in it
-        a = next(v for v in region if not g.adj[v].isdisjoint(region_set))
-        b = min(g.adj[a] & region_set)
-        model = Model(pattern=pattern, branch_sets={0: (a, b)}, branch_trees={0: ((a, b),)})
-        return model, {a: 1, b: 0}
     bit = {v: 1 << i for i, v in enumerate(region)}
     adjmask = [sum(bit[u] for u in g.adj[v] & region_set) for v in region]
     order = sorted(range(pattern.n), key=lambda x: (-pattern.degree(x), x))

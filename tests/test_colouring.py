@@ -8,6 +8,7 @@ import pytest
 from oddcluster import (
     Budgets,
     Graph,
+    Model,
     OddModelCertificate,
     assemble_certificate,
     bfs_layers,
@@ -125,6 +126,69 @@ class TestBaseCase:
         assert isinstance(out, OddModelCertificate)
         assert out.h == 1
         check_certificate(g, out)
+
+    def test_the_least_edge_over_the_cap(self):
+        g = cycle_graph(60)
+        out = colour_bounded_tw(g, 1, 2, decompose(g), cap=3)
+        assert out.model.branch_sets == {0: (0, 1)} and out.witness == {0: 1, 1: 0}
+        check_certificate(g, out)
+
+
+class TestLowHeightsDecideOverTheCap:
+    """At h <= 2 every search asks for a non-trivial K_1, which is answered before the cap.
+
+    While K_1 was answered after the cap, 114 of the 270 partial k-trees
+    below, 5 of the 20 pipelines and the hub ended in ResourceLimitError.
+    """
+
+    @staticmethod
+    def decided(g, out, h, d, w):
+        if isinstance(out, OddModelCertificate):
+            assert (out.h, out.d) == (h, d)
+            check_certificate(g, out)
+        else:
+            assert verify_colouring(g, out, colour_budget(h), clustering_budget(d, w)) == (True, None)
+        return type(out).__name__
+
+    @staticmethod
+    def over_the_cap(monkeypatch):
+        """Patch the colour module's search to record whether it was asked a region over the cap."""
+        asked = []
+        real = colouring.find_odd_model
+
+        def recorded(g, pattern, region, *args, **kwargs):
+            asked.append(len(region) > colouring.FIND_MODEL_CAP)
+            return real(g, pattern, region, *args, **kwargs)
+
+        monkeypatch.setattr(colouring, "find_odd_model", recorded)
+        return asked
+
+    def test_wide_partial_ktrees_at_h2(self, monkeypatch):
+        asked = self.over_the_cap(monkeypatch)
+        over = 0
+        for k in (26, 30, 40):
+            for seed in range(30):
+                g = random_partial_ktree(120, k, seed, 0.9)
+                dec = decompose(g)
+                for d in (1, 2, 3):
+                    asked.clear()
+                    self.decided(g, colour_bounded_tw(g, 2, d, dec), 2, d, dec.width)
+                    over += any(asked)
+        assert over >= 100  # 114 ended in ResourceLimitError
+
+    def test_pipeline_against_the_star(self, monkeypatch):
+        asked = self.over_the_cap(monkeypatch)
+        for seed in range(20):
+            g = random_partial_ktree(150, 30, seed, 0.9)
+            self.decided(g, colour_pipeline(g, star_graph(4)), 2, 4, decompose(g).width)
+        assert any(asked)  # 5 ended in ResourceLimitError
+
+    def test_hub_joined_to_a_clique(self):
+        # the hub 0 joined to K_30 on 1..30; layer 1's region is K_29, one
+        # bag, so the dichotomy's one stop hits all of it
+        g = Graph(31, [(a, b) for a in range(31) for b in range(a + 1, 31)])
+        dec = decompose(g)
+        assert self.decided(g, colour_bounded_tw(g, 2, 2, dec), 2, 2, dec.width) == "Colouring"
 
 
 class TestColourBoundedTw:
@@ -681,14 +745,16 @@ class TestPostconditions:
 
     def test_k1_certificate(self, monkeypatch):
         # the h = 1 certificate is checked like an assembled one
-        real = colouring._k1_certificate
+        real = colouring.find_odd_model
 
-        def monochromatic(d, edge):
-            cert = real(d, edge)
-            cert.witness[edge[1]] = cert.witness[edge[0]]
-            return cert
+        def monochromatic(g, pattern, *args, **kwargs):
+            found = real(g, pattern, *args, **kwargs)
+            if found is not None and pattern.n == 1:
+                (a, b), witness = found[0].branch_sets[0], found[1]
+                witness[b] = witness[a]
+            return found
 
-        monkeypatch.setattr(colouring, "_k1_certificate", monochromatic)
+        monkeypatch.setattr(colouring, "find_odd_model", monochromatic)
         g = path_graph(3)
         with pytest.raises(InternalConsistencyError, match="monochromatic edge"):
             colour_bounded_tw(g, 1, 1, decompose(g))
@@ -773,28 +839,34 @@ class TestOneWalkPerComponent:
 
 
 class TestNoCyclicGarbage:
-    """The searches free what they build as they return, without the cycle collector."""
+    """The searches free what they build as they return, without the cycle collector.
+
+    Each test collects right before its measured call: pytest drops an
+    earlier failed test's traceback, a cycle, after the fixtures have run.
+    """
 
     @pytest.fixture
     def collector_off(self):
-        gc.collect()
         gc.disable()
         yield
         gc.enable()
 
     def test_find_odd_model(self, collector_off):
         g = random_partial_ktree(16, 3, 1)
+        gc.collect()
         assert find_odd_model(g, u_graph(2, 2), require_nontrivial=True) is not None
         assert gc.collect() == 0
 
     def test_colour_bounded_tw(self, collector_off):
         g = random_partial_ktree(16, 3, 1)
+        gc.collect()
         assert not isinstance(colour_bounded_tw(g, 3, 2, decompose(g)), OddModelCertificate)
         assert gc.collect() == 0
 
     def test_colour_pipeline(self, collector_off):
         g = random_partial_ktree(30, 2, 1)
         partition = ["rb"[v % 3 == 0] for v in range(g.n)]
+        gc.collect()
         assert not isinstance(colour_pipeline(g, complete_graph(3), partition), OddModelCertificate)
         assert gc.collect() == 0
 
@@ -821,8 +893,10 @@ def reference_colour_bounded_tw(g, h, d, dec, cap=colouring.FIND_MODEL_CAP):
 def _reference_rec(g, h, d, dec, cap, xs, prefix):
     if h == 1:
         edge = min(((a, b) for a in xs for b in g.adj[a] & xs if a < b), default=None)
-        if edge is not None:
-            return colouring._k1_certificate(d, edge)
+        if edge is not None:  # the least edge, its lesser end blue
+            a, b = edge
+            model = Model(pattern=u_graph(1, d), branch_sets={0: edge}, branch_trees={0: (edge,)})
+            return OddModelCertificate(h=1, d=d, model=model, witness={a: 1, b: 0})
         tag = f"{prefix}/base" if prefix else "base"
         return dict.fromkeys(sorted(xs), 0), dict.fromkeys(sorted(xs), tag)
     raw = {}

@@ -215,6 +215,22 @@ class TestCli:
         assert code == 0
         assert json.loads(out) == {"found": True, "branch_sets": [], "tree_edges": [], "witness": {}}
 
+    def test_odd_minor_nontrivial_k1_ignores_the_cap(self, capsys, write):
+        # a non-trivial K_1 is the least edge, in a graph of any size
+        gp = write("c60.txt", run_cli(capsys, ["gen", "cycle", "--n", "60"])[1])
+        hp = write("k1.txt", "p 1 0\n")
+        code, out = run_cli(capsys, ["odd-minor", "--nontrivial", gp, hp])
+        assert code == 0
+        assert json.loads(out) == {
+            "found": True,
+            "branch_sets": [[0, 1]],
+            "tree_edges": [[[0, 1]]],
+            "witness": {"0": 1, "1": 0},
+        }
+        ep = write("e60.txt", "p 60 0\n")
+        code, out = run_cli(capsys, ["odd-minor", "--nontrivial", ep, hp])
+        assert code == 1 and json.loads(out) == {"found": False}
+
     def test_colour_ok(self, capsys, write):
         gp = write("g.txt", serialize_graph(cycle_graph(6)))
         code, out = run_cli(capsys, ["colour", gp, "--h", "2", "--d", "2"])

@@ -504,7 +504,7 @@ class TestAgainstThePreviousSearch:
 
 
 class TestNonTrivialK1:
-    """A non-trivial K_1 is the region's least edge, answered without the search."""
+    """A non-trivial K_1 is the region's least edge, answered without the search and before the cap."""
 
     def test_same_model_and_witness_as_the_search(self):
         rng = random.Random(1601)
@@ -537,3 +537,33 @@ class TestNonTrivialK1:
         assert placed == []
         assert find_odd_model(g, K1, require_nontrivial=False) is not None
         assert placed
+
+    def test_caps_below_the_region_size(self):
+        rng = random.Random(2803)
+        found = 0
+        for trial in range(1500):
+            g = random_small_graph(rng, 14, n_min=2) if trial % 5 else random_partial_ktree(rng.randint(30, 90), 3, trial)
+            region = None if rng.random() < 0.2 else rng.sample(range(g.n), rng.randint(2, g.n))
+            size = g.n if region is None else len(region)
+            got = find_odd_model(g, K1, region, require_nontrivial=True, cap=rng.randrange(size))
+            want = reference_find_odd_model(g, K1, region, require_nontrivial=True, cap=size)
+            assert got == want, (g, region)
+            if got is not None:
+                assert list(got[1].items()) == list(want[1].items())
+                found += 1
+        assert 500 < found < 1500
+
+    def test_the_whole_graph_is_answered_without_a_region_set(self):
+        # the 200 000-vertex matching's least edge, found on ``g.adj``; a set
+        # of its vertices would take 17.6 MB traced
+        n = 200_000
+        g = Graph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+        tracemalloc.start()
+        try:
+            model, witness = find_odd_model(g, K1, require_nontrivial=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.branch_sets == {0: (0, 1)} and model.branch_trees == {0: ((0, 1),)}
+        assert witness == {0: 1, 1: 0}
+        assert peak < 100_000, f"peak traced memory {peak} bytes"

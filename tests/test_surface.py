@@ -9,7 +9,7 @@ import types
 import pytest
 
 import oddcluster
-from oddcluster import Layering, decomposition, generators, graph, oddmodel, treedepth
+from oddcluster import Layering, colouring, decomposition, generators, graph, oddmodel, treedepth
 
 EXPORTS = {
     "Budgets",
@@ -73,6 +73,7 @@ def test_exports_are_exactly_the_library_surface():
         (treedepth, "closure"),
         (treedepth, "complete_dary_tree"),
         (Layering, "layer_of"),
+        (colouring, "_k1_certificate"),  # ``find_odd_model`` holds the one non-trivial K_1 answer
     ],
 )
 def test_test_only_helpers_stay_out_of_the_library(owner, name):
