@@ -14,6 +14,16 @@ set, so no subset of the region holds one, the oracle would answer None
 everywhere and the hitting set would come out empty.  Skipping it is exact; only u_i is hit.  The
 threshold is counted by ``u_order``; U_{h-1,d} is built only for a region
 that reaches it, so a U over its size cap stops only a run that needs U.
+A region that reaches it is first asked whole, by the layer oracle the
+dichotomy would use.  The oracle answers None only after searching every
+component of at least 2|V(U)| vertices under the cap and finding no model;
+a region the walk would ask lies inside the layer region, so each of its
+components lies inside one of those: the walk would end in an empty
+hitting set, its last ask on this same region.  Such a layer is neither
+decomposed, restricted nor walked; only u_i is hit, which is exact too.  A
+target, or a ResourceLimitError, sends the region to the walk with the
+same oracle and its memo: the walk may stop at d targets before it
+reaches a component over the cap.
 
 The whole recursion runs on the input graph and decomposition: a
 sub-problem (a component, a layer's region, what the hitting set leaves) is
@@ -44,7 +54,7 @@ import functools
 from dataclasses import dataclass, field
 
 from . import treedepth
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .decomposition import TreeDecomposition, decompose, restrict_decomposition
 from .eposa import Target, disjoint_or_hitting
 from .graph import bfs_layers, components, connected_components, induced_subgraph
@@ -285,19 +295,23 @@ def _colour_component(g, h, d, get_dec, cap, layering, prefix, base, raw, scope)
     raw[layering.root] = base
     scope[layering.root] = f"{prefix}/L0"
     # a region of fewer than 2|V(U_{h-1,d})| vertices holds no non-trivial
-    # model: the dichotomy would find none and hit nothing, so it is not run
+    # model: the dichotomy would find none and hit nothing, so it is not run.
+    # A larger region is asked whole before its component is decomposed: if
+    # it holds no model, no region the walk would ask does, and the walk is
+    # not run either.  A target, or the cap, sends it to the walk.
     room = 2 * u_order(h - 1, d, g.n)
     for i in range(1, len(layering.layers)):
         u_i, *region = layering.layers[i]
         offset = base if i % 2 == 0 else base + sub_size + 1
         hit = [u_i]
         if len(region) >= room:
-            dec_i = restrict_decomposition(get_dec(), region)
-            dich = disjoint_or_hitting(g, dec_i, _component_oracle(g, u_graph(h - 1, d), cap), d)
-            if dich.is_disjoint_arm:
-                submodels = [t.payload for t in dich.disjoint]
-                return assemble_certificate(g, layering, i, u_i, submodels, h, d)
-            hit = [*dich.hitting_set, u_i]
+            oracle = _component_oracle(g, u_graph(h - 1, d), cap)
+            if _may_hold_model(oracle, region):
+                dich = disjoint_or_hitting(g, restrict_decomposition(get_dec(), region), oracle, d)
+                if dich.is_disjoint_arm:
+                    submodels = [t.payload for t in dich.disjoint]
+                    return assemble_certificate(g, layering, i, u_i, submodels, h, d)
+                hit = [*dich.hitting_set, u_i]
         tag = f"{prefix}/L{i}/hit"
         for v in hit:
             raw[v] = offset + sub_size
@@ -308,6 +322,14 @@ def _colour_component(g, h, d, get_dec, cap, layering, prefix, base, raw, scope)
                 f"odd U_{{{h-1},{d}}}-model found in a region the hitting set certified clean"
             )
     return None
+
+
+def _may_hold_model(oracle, region):
+    """False when ``oracle`` finds no model in the whole region; True on a target or over the cap."""
+    try:
+        return oracle(frozenset(region)) is not None
+    except ResourceLimitError:
+        return True
 
 
 def _component_oracle(g, pattern, cap):

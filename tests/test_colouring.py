@@ -30,8 +30,8 @@ from oddcluster import (
 )
 from oddcluster import colouring
 from oddcluster.colouring import _assert_scope_locality, _component_oracle, monochromatic_components
-from oddcluster.decomposition import TreeDecomposition, decompose
-from oddcluster.eposa import Dichotomy
+from oddcluster.decomposition import TreeDecomposition, decompose, restrict_decomposition
+from oddcluster.eposa import Dichotomy, disjoint_or_hitting
 from oddcluster.errors import InternalConsistencyError, ResourceLimitError
 from oddcluster.generators import (
     complete_graph,
@@ -429,6 +429,83 @@ class TestComponentDecompositionOnDemand:
                 ok, why = verify_colouring(g, out, 2 * f_h, clustering_budget(pattern.n, 0))
                 assert ok, why
 
+    @staticmethod
+    def blob_chain(seed, blobs):
+        """Red partial 3-trees of 12 to 15 vertices joined in a chain by blue connectors, as ``partitioned``'s."""
+        rng = random.Random(seed)
+        edges, partition, prev = [], [], None
+        for _ in range(blobs):
+            size, base = rng.randint(12, 15), len(partition)
+            blob = random_partial_ktree(size, 3, rng.randrange(2**31), edge_keep=rng.uniform(0.8, 0.9))
+            edges += [(base + a, base + b) for a, b in sorted(blob.edges)]
+            partition += "r" * size
+            if prev is not None:
+                partition.append("b")
+                edges += [(prev, len(partition) - 1), (len(partition) - 1, base + rng.randrange(size))]
+            prev = base + rng.randrange(size)
+        return Graph(len(partition), edges), partition
+
+    def test_only_components_with_a_model_holding_layer_are_decomposed(self, monkeypatch):
+        # the pair-returning reference walks every layer region at every
+        # level; a component none of whose regions holds a model of its
+        # level's U is neither copied nor decomposed, unless the cluster check
+        # reads its width (a cluster over d); the stars K2 and P3 find
+        # certificates, after which no later component is coloured
+        copied, decomposed = [], []
+        induced, real_decompose = colouring.induced_subgraph, colouring.decompose
+
+        def copying(g, comp):
+            copied.append(tuple(comp))
+            return induced(g, comp)
+
+        def decomposing(g):
+            decomposed.append(g.n)
+            return real_decompose(g)
+
+        monkeypatch.setattr(colouring, "induced_subgraph", copying)
+        monkeypatch.setattr(colouring, "decompose", decomposing)
+        patterns = [*self.PATTERNS.values(), path_graph(2), path_graph(3)]
+        arms, needed = Counter(), 0
+        for seed in range(12):
+            g, partition = self.blob_chain(seed, 6)
+            for pattern in patterns:
+                copied.clear()
+                decomposed.clear()
+                got = colour_pipeline(g, pattern, partition)
+                want = self.components_needing_a_decomposition(g, pattern, partition)
+                assert set(copied) == want and len(copied) == len(decomposed) == len(want)
+                assert_same_outcome(got, eager_colour_pipeline(g, pattern, partition))
+                arms[type(got).__name__] += 1
+                needed += len(want)
+        assert arms["Colouring"] > 40 and arms["OddModelCertificate"] > 15, arms
+        assert needed > 80
+
+    @staticmethod
+    def components_needing_a_decomposition(g, pattern, partition):
+        """The components, up to the first certificate, with a model-holding layer region or a cluster over d."""
+        h, d = connected_tree_depth(pattern)[0], pattern.n
+        need, holding = set(), []
+        walk = colouring.disjoint_or_hitting
+
+        def recording(g, dec, oracle, ell):
+            holding.append(oracle(frozenset().union(*dec.bags)) is not None)
+            return walk(g, dec, oracle, ell)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(colouring, "disjoint_or_hitting", recording)
+            for side in "rb":
+                for comp in connected_components(g, [v for v in range(g.n) if partition[v] == side]):
+                    gcomp, comp_map = induced_subgraph(g, comp)
+                    dec = decompose(gcomp)
+                    dec = TreeDecomposition(dec.parent, [[comp_map[v] for v in bag] for bag in dec.bags])
+                    holding.clear()
+                    out = reference_colour_bounded_tw(g, h, d, dec, cap=24)
+                    if any(holding) or isinstance(out, colouring.Colouring) and out.max_cluster > d:
+                        need.add(tuple(comp))
+                    if isinstance(out, OddModelCertificate):
+                        return need
+        return need
+
     def test_each_component_is_decomposed_at_most_once(self, monkeypatch):
         copied = []
         induced = colouring.induced_subgraph
@@ -533,6 +610,64 @@ class TestLayerSizeSkip:
         assert ok, why
 
 
+def hub_and_connectors(n_leaves):
+    """Hub 0 joined to leaves 1..L, connector L+i joined to leaves i and i+1."""
+    return Graph(
+        2 * n_leaves,
+        [(0, i) for i in range(1, n_leaves + 1)]
+        + [e for i in range(1, n_leaves) for e in ((i, n_leaves + i), (i + 1, n_leaves + i))],
+    )
+
+
+def counted(calls, name, fn):
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counting
+
+
+class TestModelFreeRegions:
+    """A layer region that holds no model is asked once, whole: nothing is restricted or walked."""
+
+    def test_hub_graph_asks_each_layer_once(self, monkeypatch):
+        # layers 1 (the leaves) and 2 (the connectors) are independent sets of
+        # 2000 and 1999 vertices: neither holds an edge, the K_1 of U_{1,2}, and
+        # a walk of layer 1's path-shaped decomposition took 1.2 s
+        calls = Counter()
+        for name in ("restrict_decomposition", "disjoint_or_hitting"):
+            monkeypatch.setattr(colouring, name, counted(calls, name, getattr(colouring, name)))
+        g = hub_and_connectors(2000)
+        dec = decompose(g)
+        out = colour_bounded_tw(g, 2, 2, dec)
+        assert not calls
+        assert_same_outcome(out, reference_colour_bounded_tw(g, 2, 2, dec))
+        assert calls["disjoint_or_hitting"] == 2
+
+    def test_a_region_over_the_cap_is_still_walked(self):
+        # hub 0 over 1..26; layer 1's region holds the path 2..14, over the
+        # cap of 12, and the 6-vertex paths 15..20 and 21..26, each an odd
+        # U_{2,2}-model.  The whole-region ask reaches the long path first and
+        # gives up, but the walk of this path-shaped decomposition, rooted at
+        # the long path's end, stops on the two short ones without asking it
+        paths = [range(2, 15), range(15, 21), range(21, 27)]
+        g = Graph(27, [(0, v) for v in range(1, 27)] + [(v, v + 1) for p in paths for v in p[:-1]])
+        bags = [(0, 1)] + [(0, v, v + 1) for p in paths for v in p[:-1]]
+        dec = TreeDecomposition(range(-1, len(bags) - 1), bags)
+        with pytest.raises(ResourceLimitError):
+            _component_oracle(g, u_graph(2, 2), 12)(frozenset(range(2, 27)))
+        out = colour_bounded_tw(g, 3, 2, dec, cap=12)
+        assert isinstance(out, OddModelCertificate)
+        assert_same_outcome(out, reference_colour_bounded_tw(g, 3, 2, dec, cap=12))
+
+    def test_hub_graph_of_20000_leaves_colours(self):
+        g = hub_and_connectors(20_000)
+        dec = decompose(g)
+        out = colour_bounded_tw(g, 2, 2, dec)
+        ok, why = verify_colouring(g, out, colour_budget(2), clustering_budget(2, dec.width))
+        assert ok, why
+
+
 class TestComponentOracle:
     """The layer oracle searches component by component, with the cap per component."""
 
@@ -573,8 +708,9 @@ class TestComponentOracle:
         # inputs and the partial 2-trees below, whose layers exceed the cap,
         # each checked against the per-component reference and, when within
         # the cap, against the whole-region search; a layer region too small
-        # to hold a non-trivial model asks nothing, so the regions large
-        # enough to hold one get their own floor
+        # to hold a non-trivial model asks nothing, and one that holds none
+        # asks once, whole, so the regions large enough to hold one get their
+        # own floor, and 18 partial 2-trees keep the asks over the floors
         asked = []
 
         def recording(g, pattern, cap):
@@ -594,7 +730,7 @@ class TestComponentOracle:
             k, seed, keep = rng.choice((3, 4)), rng.randrange(2**31), rng.uniform(0.8, 0.9)
             g = random_partial_ktree(n, k, seed, edge_keep=keep)
             colour_bounded_tw(g, 3, rng.choice((2, 3)), decompose(g))
-        for seed in range(3):
+        for seed in range(18):
             g = random_partial_ktree(100, 2, seed)
             colour_bounded_tw(g, 3, 2, decompose(g))
         checked = large = over = 0
@@ -672,26 +808,22 @@ class TestComponentOracle:
             _component_oracle(g, pattern, 12)(frozenset(range(26)))
 
     def test_memory_follows_the_components_not_the_walk(self):
-        # hub 0 joined to leaves 1..L, connector L+i joined to leaves i and
-        # i+1: layer 1's decomposition is a path whose every node asks a new,
-        # larger region of singleton components; a memo of the regions held
-        # all of them (6.0 MB traced at L = 500, 22.9 MB at L = 1000)
+        # the hub graph's layer 1, the leaves, restricts to a path-shaped
+        # decomposition whose every node asks a new, larger region of
+        # singleton components; a memo of the regions held all of them (6.0 MB
+        # traced at L = 500, 22.9 MB at L = 1000).  The colour recursion asks
+        # this model-free region once, whole, so the walk is run here directly
         import tracemalloc
 
-        n_leaves = 500
-        g = Graph(
-            2 * n_leaves,
-            [(0, i) for i in range(1, n_leaves + 1)]
-            + [e for i in range(1, n_leaves) for e in ((i, n_leaves + i), (i + 1, n_leaves + i))],
-        )
-        dec = decompose(g)
+        g = hub_and_connectors(500)
+        dec_1 = restrict_decomposition(decompose(g), range(2, 501))
         tracemalloc.start()
         try:
-            out = colour_bounded_tw(g, 2, 2, dec)
+            dich = disjoint_or_hitting(g, dec_1, _component_oracle(g, u_graph(1, 2), 24), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not isinstance(out, OddModelCertificate)
+        assert dich.hitting_set == ()
         assert peak < 2_000_000, f"peak traced memory {peak} bytes"
 
 
