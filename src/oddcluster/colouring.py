@@ -6,24 +6,30 @@ verified non-trivial odd U_{h,d}-model certificate.  The recursion works
 layer by layer: each BFS layer either yields d disjoint non-trivial odd
 U_{h-1,d}-models (glued into a U_{h,d} certificate below a root branch set
 made of the layers before it plus u_i) or a small hitting set, after which
-the layer minus the hitting set is coloured recursively at h-1.  A layer
-whose region (the layer minus its least vertex u_i) has fewer than
-2|V(U_{h-1,d})| vertices skips the decomposition restriction and the
-dichotomy: a non-trivial model puts at least 2 vertices in each branch
-set, so no subset of the region holds one, the oracle would answer None
-everywhere and the hitting set would come out empty.  Skipping it is exact; only u_i is hit.  The
-threshold is counted by ``u_order``; U_{h-1,d} is built only for a region
-that reaches it, so a U over its size cap stops only a run that needs U.
-A region that reaches it is first asked whole, by the layer oracle the
-dichotomy would use.  The oracle answers None only after searching every
-component of at least 2|V(U)| vertices under the cap and finding no model;
-a region the walk would ask lies inside the layer region, so each of its
-components lies inside one of those: the walk would end in an empty
-hitting set, its last ask on this same region.  Such a layer is neither
-decomposed, restricted nor walked; only u_i is hit, which is exact too.  A
-target, or a ResourceLimitError, sends the region to the walk with the
-same oracle and its memo: the walk may stop at d targets before it
-reaches a component over the cap.
+the layer minus the hitting set is coloured recursively at h-1.
+
+One run of the recursion is a ``_Run``, built once per colouring of G[xs].
+It holds what every level shares: the graph, d, the decomposition getter,
+the search cap, and the two maps each vertex's colour and scope are written
+into, once.  ``_Run.colour`` colours a vertex set at height h from the
+palette offset it is given and returns a certificate or None, so nothing is
+copied or re-offset on the way back up.  ``_Run.oracle`` is the layer
+oracle, given the pattern U = U_{h-1,d} and a memo that lives for one layer.
+
+Which layers ask.  A layer whose region (the layer minus its least vertex
+u_i) has fewer than 2|V(U)| vertices is not asked at all: a non-trivial
+model puts at least 2 vertices in each branch set, so no subset of the
+region holds one and the dichotomy would hit nothing; only u_i is hit.  The
+threshold is counted by ``u_order``, and U is built only for a region that
+reaches it, so a U over its size cap stops only a run that needs U.  A
+region that reaches it is first asked whole.  The oracle answers None only
+after searching every component of at least 2|V(U)| vertices under the cap
+and finding no model; a region the walk would ask lies inside the layer
+region, so each of its components lies inside one of those: the walk would
+end in an empty hitting set.  So on None the layer is neither decomposed,
+restricted nor walked; only u_i is hit, which is exact too.  A target, or a ResourceLimitError,
+sends the region to the walk with the same memo: the walk may stop at d
+targets before it reaches a component over the cap.
 
 The whole recursion runs on the input graph and decomposition: a
 sub-problem (a component, a layer's region, what the hitting set leaves) is
@@ -37,10 +43,7 @@ The pipeline colours each monochromatic component on the host, so
 colourings and certificates come back in host ids with nothing to relabel;
 it copies and decomposes a component, at most once, only when a layer
 region first needs its decomposition (or the cluster check its width), and
-maps the bags back to the host's ids.  Each vertex's colour and scope are
-written once, into two maps the run owns: a level colours from the palette
-offset it is given and returns a certificate or None, so nothing is copied
-or re-offset on the way back up.
+maps the bags back to the host's ids.
 
 Palette discipline: the palette of size f(h) = 2*(f(h-1)+1) splits into an
 even-layer and an odd-layer subpalette of size f(h-1)+1 each; within a
@@ -232,15 +235,15 @@ def _colour_checked(g, h, d, get_dec, cap, xs):
     The cluster check reads the width only for a cluster over d, the budget at width 0:
     d*w + d - w never decreases in w when d >= 1, so a cluster of at most d is within every width's.
     """
-    raw, scope = {}, {}
-    cert = _colour_rec(g, h, d, get_dec, cap, xs, "", 0, raw, scope)
+    run = _Run(g, d, get_dec, cap)
+    cert = run.colour(h, xs, "", 0)
     if cert is not None:
         ok, why = verify_certificate(g, cert)
         if not ok:
             raise InternalConsistencyError(f"U_{{{h},{d}}} certificate invalid: {why}")
         return cert
-    _assert_scope_locality(g, raw, scope)
-    colouring = make_colouring(g, raw, scope)
+    _assert_scope_locality(g, run.raw, run.scope)
+    colouring = make_colouring(g, run.raw, run.scope)
     if colouring.num_colours > colour_budget(h):
         raise InternalConsistencyError(f"{colouring.num_colours} colours exceed the budget {colour_budget(h)}")
     if colouring.max_cluster > clustering_budget(d, 0):
@@ -262,103 +265,97 @@ def _assert_scope_locality(g, raw, scope):
                 )
 
 
-def _colour_rec(g, h, d, get_dec, cap, xs, prefix, base, raw, scope):
-    """Colour G[xs], a frozenset of host vertices, from palette base..base+f(h)-1.
+class _Run:
+    """One colouring run: the values every level of the recursion shares, and the two maps it writes.
 
-    Writes each vertex's colour into ``raw`` and its scope into ``scope``,
-    the run's two maps, and returns a certificate if one is found, else None.
+    ``raw`` and ``scope`` take each vertex's colour and recursion scope.  The
+    run stores none of its own bound methods, so it is freed without the cycle collector.
     """
-    if h == 1:  # U_{1,d} = K_1: a non-trivial model is an edge, answered at any size
-        found = find_odd_model(g, u_graph(1, d), xs, require_nontrivial=True)
-        if found is not None:
-            return OddModelCertificate(h=1, d=d, model=found[0], witness=found[1])
-        tag = f"{prefix}/base" if prefix else "base"
-        for v in sorted(xs):
-            raw[v] = base
-            scope[v] = tag
-        return None
-    seen, ci = set(), 0
-    for s in sorted(xs):
-        if s not in seen:
+
+    __slots__ = ("g", "d", "get_dec", "cap", "raw", "scope")
+
+    def __init__(self, g, d, get_dec, cap):
+        self.g, self.d, self.get_dec, self.cap = g, d, get_dec, cap
+        self.raw, self.scope = {}, {}
+
+    def paint(self, vertices, colour, tag):
+        """Write ``colour`` and the scope ``tag`` for each of ``vertices``."""
+        for v in vertices:
+            self.raw[v] = colour
+            self.scope[v] = tag
+
+    def colour(self, h, xs, prefix, base):
+        """Colour G[xs], a frozenset of host vertices, from palette base..base+f(h)-1.
+
+        Each component is coloured from its BFS layering, layer by layer.
+        Returns a certificate if one is found, else None.
+        """
+        g, d = self.g, self.d
+        if h == 1:  # U_{1,d} = K_1: a non-trivial model is an edge, answered at any size
+            found = find_odd_model(g, u_graph(1, d), xs, require_nontrivial=True)
+            if found is not None:
+                return OddModelCertificate(h=1, d=d, model=found[0], witness=found[1])
+            self.paint(sorted(xs), base, f"{prefix}/base" if prefix else "base")
+            return None
+        sub_size = colour_budget(h - 1)
+        room = 2 * u_order(h - 1, d, g.n)
+        seen, ci = set(), 0
+        for s in sorted(xs):
+            if s in seen:
+                continue
             layering = bfs_layers(g, s, xs)
             seen.update(*layering.layers)
-            cert = _colour_component(g, h, d, get_dec, cap, layering, f"{prefix}/c{ci}", base, raw, scope)
-            if cert is not None:
-                return cert
+            comp = f"{prefix}/c{ci}"
             ci += 1
-    return None
+            self.paint([s], base, f"{comp}/L0")
+            for i in range(1, len(layering.layers)):
+                u_i, *region = layering.layers[i]
+                offset = base if i % 2 == 0 else base + sub_size + 1
+                hit = [u_i]
+                if len(region) >= room:
+                    oracle = functools.partial(self.oracle, u_graph(h - 1, d), {})
+                    try:
+                        walk = oracle(frozenset(region)) is not None
+                    except ResourceLimitError:
+                        walk = True
+                    if walk:
+                        dich = disjoint_or_hitting(g, restrict_decomposition(self.get_dec(), region), oracle, d)
+                        if dich.is_disjoint_arm:
+                            submodels = [t.payload for t in dich.disjoint]
+                            return assemble_certificate(g, layering, i, u_i, submodels, h, d)
+                        hit = [*dich.hitting_set, u_i]
+                self.paint(hit, offset + sub_size, f"{comp}/L{i}/hit")
+                rest = frozenset(region).difference(hit)
+                if rest and self.colour(h - 1, rest, f"{comp}/L{i}", offset):
+                    raise InternalConsistencyError(
+                        f"odd U_{{{h-1},{d}}}-model found in a region the hitting set certified clean"
+                    )
+        return None
 
+    def oracle(self, pattern, memo, region):
+        """The layer oracle: a memoised non-trivial odd pattern-model search, component-wise.
 
-def _colour_component(g, h, d, get_dec, cap, layering, prefix, base, raw, scope):
-    """Colour a connected component of the recursion from its BFS layering, layer by layer."""
-    sub_size = colour_budget(h - 1)
-    raw[layering.root] = base
-    scope[layering.root] = f"{prefix}/L0"
-    # a region of fewer than 2|V(U_{h-1,d})| vertices holds no non-trivial
-    # model: the dichotomy would find none and hit nothing, so it is not run.
-    # A larger region is asked whole before its component is decomposed: if
-    # it holds no model, no region the walk would ask does, and the walk is
-    # not run either.  A target, or the cap, sends it to the walk.
-    room = 2 * u_order(h - 1, d, g.n)
-    for i in range(1, len(layering.layers)):
-        u_i, *region = layering.layers[i]
-        offset = base if i % 2 == 0 else base + sub_size + 1
-        hit = [u_i]
-        if len(region) >= room:
-            oracle = _component_oracle(g, u_graph(h - 1, d), cap)
-            if _may_hold_model(oracle, region):
-                dich = disjoint_or_hitting(g, restrict_decomposition(get_dec(), region), oracle, d)
-                if dich.is_disjoint_arm:
-                    submodels = [t.payload for t in dich.disjoint]
-                    return assemble_certificate(g, layering, i, u_i, submodels, h, d)
-                hit = [*dich.hitting_set, u_i]
-        tag = f"{prefix}/L{i}/hit"
-        for v in hit:
-            raw[v] = offset + sub_size
-            scope[v] = tag
-        rest = frozenset(region).difference(hit)
-        if rest and _colour_rec(g, h - 1, d, get_dec, cap, rest, f"{prefix}/L{i}", offset, raw, scope):
-            raise InternalConsistencyError(
-                f"odd U_{{{h-1},{d}}}-model found in a region the hitting set certified clean"
-            )
-    return None
-
-
-def _may_hold_model(oracle, region):
-    """False when ``oracle`` finds no model in the whole region; True on a target or over the cap."""
-    try:
-        return oracle(frozenset(region)) is not None
-    except ResourceLimitError:
-        return True
-
-
-def _component_oracle(g, pattern, cap):
-    """The layer oracle: a memoised non-trivial odd pattern-model search, component-wise.
-
-    ``oracle(region)`` walks the components of G[region] in least-vertex
-    order and returns, as a Target, the model that ``find_odd_model``
-    (``require_nontrivial=True``, ``cap`` per component) finds in the first
-    component holding one, or None if none does; later components are
-    neither walked nor searched.  The pattern U is connected, so a model
-    lies in one component, and a component with fewer than 2|V(U)|
-    vertices holds no non-trivial one and is skipped unsearched.  The memo
-    is keyed by components, so it holds no more than the searches made.
-    """
-    memo = {}
-
-    def oracle(region):
-        for comp in components(g.adj, sorted(region), set(region)):
+        ``functools.partial(run.oracle, pattern, memo)`` is the one-argument
+        ``oracle(region)`` that ``disjoint_or_hitting`` calls.  It walks the
+        components of G[region] in least-vertex order and returns, as a
+        Target, the model that ``find_odd_model`` (``require_nontrivial=True``,
+        the run's cap per component) finds in the first component holding
+        one, or None if none does; later components are neither walked nor
+        searched.  The pattern U is connected, so a model lies in one
+        component, and a component with fewer than 2|V(U)| vertices holds no
+        non-trivial one and is skipped unsearched.  ``memo`` is keyed by
+        components, so it holds no more than the searches made.
+        """
+        for comp in components(self.g.adj, sorted(region), set(region)):
             if len(comp) < 2 * pattern.n:
                 continue
             comp = frozenset(comp)
             if comp not in memo:
-                found = find_odd_model(g, pattern, sorted(comp), require_nontrivial=True, cap=cap)
+                found = find_odd_model(self.g, pattern, sorted(comp), require_nontrivial=True, cap=self.cap)
                 memo[comp] = found and Target(tuple(found[0].covered_vertices()), found)
             if memo[comp] is not None:
                 return memo[comp]
         return None
-
-    return oracle
 
 
 def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):

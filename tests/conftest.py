@@ -8,13 +8,14 @@ the single-bag decomposition, small graph families, the closure of a rooted
 forest and the complete d-ary tree that ``u_graph`` is checked against, a
 forest's children lists, the parity test of a branch-set colouring,
 triangulated strips, seeded relabellings, the set-based odd-model search
-that the bitmask search replaced and the pipeline that decomposes every
-monochromatic component up front) are used only by the tests, so they live
-here rather than in the library.  A rooted forest is a parent
-array, as the tree-depth witnesses are: ``parent[v]`` is v's parent, -1 at a
+that the bitmask search replaced, the pipeline that decomposes every
+monochromatic component up front and a colour run's layer oracle) are used
+only by the tests, so they live here rather than in the library.  A rooted
+forest is a parent array, as the tree-depth witnesses are: ``parent[v]`` is v's parent, -1 at a
 root.
 """
 
+import functools
 import random
 from itertools import combinations, permutations
 
@@ -26,6 +27,7 @@ from oddcluster import (
     TreeDecomposition,
     colour_bounded_tw,
     colour_budget,
+    colouring,
     connected_components,
     connected_tree_depth,
     induced_subgraph,
@@ -491,3 +493,8 @@ def eager_colour_pipeline(g, pattern_graph, partition, cap=24):
                 raw[v] = offset + col
                 scope[v] = f"{side}{ci}:{out.scope[v]}"
     return make_colouring(g, raw, scope)
+
+
+def layer_oracle(g, pattern, cap):
+    """The layer oracle a colour run of g with search cap ``cap`` asks, ``oracle(region)``, with a memo of its own."""
+    return functools.partial(colouring._Run(g, None, None, cap).oracle, pattern, {})

@@ -1,4 +1,6 @@
+import functools
 import gc
+import inspect
 import random
 import sys
 from collections import Counter
@@ -29,9 +31,9 @@ from oddcluster import (
     verify_odd_witness,
 )
 from oddcluster import colouring
-from oddcluster.colouring import _assert_scope_locality, _component_oracle, monochromatic_components
+from oddcluster.colouring import _assert_scope_locality, monochromatic_components
 from oddcluster.decomposition import TreeDecomposition, decompose, restrict_decomposition
-from oddcluster.eposa import Dichotomy, disjoint_or_hitting
+from oddcluster.eposa import Dichotomy, Target, disjoint_or_hitting
 from oddcluster.errors import InternalConsistencyError, ResourceLimitError
 from oddcluster.generators import (
     complete_graph,
@@ -44,6 +46,7 @@ from conftest import (
     check_layered_tree,
     eager_colour_pipeline,
     empty_graph,
+    layer_oracle,
     path_graph,
     random_tree,
     reference_bfs_layers,
@@ -628,7 +631,7 @@ def counted(calls, name, fn):
 
 
 class TestModelFreeRegions:
-    """A layer region that holds no model is asked once, whole: nothing is restricted or walked."""
+    """A layer region is asked once, whole: one that holds no model is neither restricted nor walked."""
 
     def test_hub_graph_asks_each_layer_once(self, monkeypatch):
         # layers 1 (the leaves) and 2 (the connectors) are independent sets of
@@ -655,10 +658,38 @@ class TestModelFreeRegions:
         bags = [(0, 1)] + [(0, v, v + 1) for p in paths for v in p[:-1]]
         dec = TreeDecomposition(range(-1, len(bags) - 1), bags)
         with pytest.raises(ResourceLimitError):
-            _component_oracle(g, u_graph(2, 2), 12)(frozenset(range(2, 27)))
+            layer_oracle(g, u_graph(2, 2), 12)(frozenset(range(2, 27)))
         out = colour_bounded_tw(g, 3, 2, dec, cap=12)
         assert isinstance(out, OddModelCertificate)
         assert_same_outcome(out, reference_colour_bounded_tw(g, 3, 2, dec, cap=12))
+
+    def test_the_walk_shares_the_whole_region_asks_memo(self, monkeypatch):
+        # hub 0 over the path 1..7: layer 1's region, the path 2..7, is one
+        # component holding an odd U_{2,2}-model.  The whole-region ask
+        # searches it and finds the model; the walk then asks a region that
+        # holds the whole path and takes the answer from the same memo
+        path = tuple(range(2, 8))
+        searched, walked = Counter(), []
+        real_search, real_dichotomy = colouring.find_odd_model, colouring.disjoint_or_hitting
+
+        def search(*args, **kwargs):
+            searched[tuple(sorted(args[2]))] += 1
+            return real_search(*args, **kwargs)
+
+        def dichotomy(g, dec, oracle, ell):
+            def asking(region):
+                walked.append(region)
+                return oracle(region)
+
+            return real_dichotomy(g, dec, asking, ell)
+
+        monkeypatch.setattr(colouring, "find_odd_model", search)
+        monkeypatch.setattr(colouring, "disjoint_or_hitting", dichotomy)
+        g = Graph(8, [(0, v) for v in range(1, 8)] + [(v, v + 1) for v in range(1, 7)])
+        out = colour_bounded_tw(g, 3, 2, decompose(g))
+        assert not isinstance(out, OddModelCertificate)
+        assert any(region.issuperset(path) for region in walked)
+        assert searched[path] == 1
 
     def test_hub_graph_of_20000_leaves_colours(self):
         g = hub_and_connectors(20_000)
@@ -695,7 +726,7 @@ class TestComponentOracle:
             k, seed, keep = rng.choice((2, 3)), rng.randrange(2**31), rng.uniform(0.5, 0.9)
             g = random_partial_ktree(n, k, seed, edge_keep=keep)
             for pattern in (u_graph(1, 2), u_graph(2, 2), u_graph(2, 3)):
-                oracle = _component_oracle(g, pattern, 24)
+                oracle = layer_oracle(g, pattern, 24)
                 for _ in range(6):
                     region = frozenset(rng.sample(range(n), rng.randint(6, 16)))
                     self.assert_first_component_model(oracle, g, pattern, region)
@@ -712,35 +743,35 @@ class TestComponentOracle:
         # asks once, whole, so the regions large enough to hold one get their
         # own floor, and 18 partial 2-trees keep the asks over the floors
         asked = []
+        real = colouring._Run.oracle
+        signature = inspect.signature(real)
 
-        def recording(g, pattern, cap):
-            asked.append((g, pattern, cap, []))
-            oracle = _component_oracle(g, pattern, cap)
+        def recording(run, *args, **kwargs):
+            call = signature.bind(run, *args, **kwargs).arguments
+            asked.append((run.g, call["pattern"], run.cap, call["region"]))
+            return real(run, *args, **kwargs)
 
-            def record(region):
-                asked[-1][3].append(region)
-                return oracle(region)
-
-            return record
-
-        monkeypatch.setattr(colouring, "_component_oracle", recording)
-        rng = random.Random(14)
-        for _ in range(24):
-            n = rng.randint(16, 30)
-            k, seed, keep = rng.choice((3, 4)), rng.randrange(2**31), rng.uniform(0.8, 0.9)
-            g = random_partial_ktree(n, k, seed, edge_keep=keep)
-            colour_bounded_tw(g, 3, rng.choice((2, 3)), decompose(g))
-        for seed in range(18):
-            g = random_partial_ktree(100, 2, seed)
-            colour_bounded_tw(g, 3, 2, decompose(g))
+        with monkeypatch.context() as patch:
+            patch.setattr(colouring._Run, "oracle", recording)
+            rng = random.Random(14)
+            for _ in range(24):
+                n = rng.randint(16, 30)
+                k, seed, keep = rng.choice((3, 4)), rng.randrange(2**31), rng.uniform(0.8, 0.9)
+                g = random_partial_ktree(n, k, seed, edge_keep=keep)
+                colour_bounded_tw(g, 3, rng.choice((2, 3)), decompose(g))
+            for seed in range(18):
+                g = random_partial_ktree(100, 2, seed)
+                colour_bounded_tw(g, 3, 2, decompose(g))
         checked = large = over = 0
-        for g, pattern, cap, regions in asked:
-            oracle = _component_oracle(g, pattern, cap)
-            for region in regions:
-                self.assert_first_component_model(oracle, g, pattern, region, cap)
-                checked += 1
-                large += len(region) >= 2 * pattern.n
-                over += len(region) > cap
+        oracles = {}
+        for g, pattern, cap, region in asked:
+            key = id(g), id(pattern), cap
+            if key not in oracles:
+                oracles[key] = layer_oracle(g, pattern, cap)
+            self.assert_first_component_model(oracles[key], g, pattern, region, cap)
+            checked += 1
+            large += len(region) >= 2 * pattern.n
+            over += len(region) > cap
         assert checked > 800 and large > 150 and over > 10
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -767,7 +798,7 @@ class TestComponentOracle:
         # at 3, comes first in whole-region search order
         g, region = self.two_components_with_a_model()
         pattern = u_graph(2, 2)
-        target = _component_oracle(g, pattern, 24)(region)
+        target = layer_oracle(g, pattern, 24)(region)
         assert target.payload == find_odd_model(g, pattern, [0, *range(20, 25)], require_nontrivial=True)
         assert target.payload[0].branch_sets[0] == (21, 22)
         assert find_odd_model(g, pattern, sorted(region), require_nontrivial=True)[0].branch_sets[0] == (3, 4)
@@ -782,7 +813,7 @@ class TestComponentOracle:
 
         monkeypatch.setattr(colouring, "find_odd_model", counting)
         g, region = self.two_components_with_a_model()
-        target = _component_oracle(g, u_graph(2, 2), 24)(region)
+        target = layer_oracle(g, u_graph(2, 2), 24)(region)
         assert calls == [[0, 20, 21, 22, 23, 24]]
         assert target.support == (0, 20, 21, 22, 23, 24)
 
@@ -792,8 +823,8 @@ class TestComponentOracle:
         g = Graph(19, [(v, v + 1) for v in range(18) if v != 5])
         pattern = u_graph(2, 2)
         with pytest.raises(ResourceLimitError):
-            _component_oracle(g, pattern, 12)(frozenset(range(6, 19)))
-        target = _component_oracle(g, pattern, 12)(frozenset(range(19)))
+            layer_oracle(g, pattern, 12)(frozenset(range(6, 19)))
+        target = layer_oracle(g, pattern, 12)(frozenset(range(19)))
         assert target.payload == find_odd_model(g, pattern, range(6), require_nontrivial=True)
 
     def test_the_cap_applies_per_component(self):
@@ -802,10 +833,10 @@ class TestComponentOracle:
         pattern = u_graph(2, 2)
         with pytest.raises(ResourceLimitError):
             find_odd_model(g, pattern, range(26), require_nontrivial=True, cap=24)
-        target = _component_oracle(g, pattern, 24)(frozenset(range(26)))
+        target = layer_oracle(g, pattern, 24)(frozenset(range(26)))
         assert target.payload == find_odd_model(g, pattern, range(26), require_nontrivial=True, cap=26)
         with pytest.raises(ResourceLimitError):
-            _component_oracle(g, pattern, 12)(frozenset(range(26)))
+            layer_oracle(g, pattern, 12)(frozenset(range(26)))
 
     def test_memory_follows_the_components_not_the_walk(self):
         # the hub graph's layer 1, the leaves, restricts to a path-shaped
@@ -819,7 +850,7 @@ class TestComponentOracle:
         dec_1 = restrict_decomposition(decompose(g), range(2, 501))
         tracemalloc.start()
         try:
-            dich = disjoint_or_hitting(g, dec_1, _component_oracle(g, u_graph(1, 2), 24), 2)
+            dich = disjoint_or_hitting(g, dec_1, layer_oracle(g, u_graph(1, 2), 24), 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -834,6 +865,20 @@ def first_component_model(g, pattern, region, cap):
         if found is not None:
             return found
     return None
+
+
+def first_component_oracle(g, pattern, cap):
+    """A layer oracle answered by ``first_component_model`` on one component at a time, each searched once."""
+    model = functools.cache(lambda comp: first_component_model(g, pattern, comp, cap))
+
+    def oracle(region):
+        for comp in connected_components(g, region):
+            found = model(comp)
+            if found is not None:
+                return Target(tuple(found[0].covered_vertices()), found)
+        return None
+
+    return oracle
 
 
 def _components_with_a_model(oracle, g, region):
@@ -1060,8 +1105,7 @@ def _reference_component(g, h, d, dec, cap, comp, prefix):
             scope[u_i] = hit_scope
             continue
         dec_i = colouring.restrict_decomposition(dec, region)
-        oracle = _component_oracle(g, pattern, cap)
-        dich = colouring.disjoint_or_hitting(g, dec_i, oracle, d)
+        dich = colouring.disjoint_or_hitting(g, dec_i, first_component_oracle(g, pattern, cap), d)
         if dich.is_disjoint_arm:
             submodels = [t.payload for t in dich.disjoint]
             return assemble_certificate(g, layering, i, u_i, submodels, h, d)

@@ -14,6 +14,7 @@ from oddcluster.eposa import Dichotomy, Target
 from oddcluster.errors import InternalConsistencyError
 from oddcluster.generators import complete_graph
 from conftest import (
+    layer_oracle,
     max_disjoint_triangles,
     random_small_graph,
     renumbered,
@@ -150,7 +151,6 @@ class TestVirtualTreeRestriction:
 
     def test_component_oracle_same_dichotomy_as_full_tree_restriction(self):
         # the layer oracle of the colouring, for U_{2,1} and U_{2,2}
-        from oddcluster.colouring import _component_oracle
         from oddcluster.decomposition import decompose, restrict_decomposition
         from oddcluster.generators import random_partial_ktree
         from oddcluster.treedepth import u_graph
@@ -165,8 +165,8 @@ class TestVirtualTreeRestriction:
             full = full_tree_restriction(dec, set(xs))
             for pattern in (u_graph(2, 1), u_graph(2, 2)):
                 for ell in (1, 2, 3):
-                    a = disjoint_or_hitting(g, restricted, _component_oracle(g, pattern, 24), ell)
-                    b = disjoint_or_hitting(g, full, _component_oracle(g, pattern, 24), ell)
+                    a = disjoint_or_hitting(g, restricted, layer_oracle(g, pattern, 24), ell)
+                    b = disjoint_or_hitting(g, full, layer_oracle(g, pattern, 24), ell)
                     assert a == b
                     compared += 1
                     disjoint += a.is_disjoint_arm
