@@ -39,11 +39,17 @@ layer that runs the dichotomy restricts the input decomposition once, to its
 region; since a restriction keeps exactly the nodes whose bags meet its
 vertex set, each under its nearest kept ancestor, this is the same tree that
 restricting component by component would give.
-The pipeline colours each monochromatic component on the host, so
+
+One loop, ``_colour_parts``, colours and checks for both entry points;
+``colour_bounded_tw`` passes it one part, the vertices its bags cover.  The
+pipeline without a partition passes one part of every vertex, with g
+decomposed on demand: uncopied, at most once, and only when a layer region
+or the cluster check needs it.  With a partition, each monochromatic
+component is a part of its side, red first, coloured on the host, so
 colourings and certificates come back in host ids with nothing to relabel;
-it copies and decomposes a component, at most once, only when a layer
-region first needs its decomposition (or the cluster check its width), and
-maps the bags back to the host's ids.
+a component is copied and decomposed, at most once, only when a layer region
+first needs its decomposition (or the cluster check its width), and its bags
+are mapped back to the host's ids.
 
 Palette discipline: the palette of size f(h) = 2*(f(h-1)+1) splits into an
 even-layer and an odd-layer subpalette of size f(h-1)+1 each; within a
@@ -217,40 +223,57 @@ def colour_bounded_tw(g, h, d, dec, cap=FIND_MODEL_CAP):
     X is the set of vertices that ``dec``'s bags cover: all of V(G) for a
     decomposition of g, or part of it for a decomposition of an induced
     subgraph in g's own ids.  Colourings and certificates are in g's ids.
-    The result is checked: a certificate that ``verify_certificate``
-    rejects, or a colouring over f(h) colours or with a cluster over
-    d*w + d - w, raises InternalConsistencyError.
+    G[X] is the one part that ``_colour_parts`` colours and checks: a
+    certificate that ``verify_certificate`` rejects, or a colouring over
+    f(h) colours or with a cluster over d*w + d - w, raises
+    InternalConsistencyError.
     """
     if h < 1 or d < 1:
         raise ValueError("need h >= 1 and d >= 1")
     xs = frozenset().union(*dec.bags)
     if xs and not (0 <= min(xs) and max(xs) < g.n):
         raise ValueError(f"decomposition bags leave 0..{g.n - 1}")
-    return _colour_checked(g, h, d, lambda: dec, cap, xs)
+    return _colour_parts(g, h, d, cap, [[("", xs, lambda: dec)]])
 
 
-def _colour_checked(g, h, d, get_dec, cap, xs):
-    """``colour_bounded_tw`` on G[xs], with ``get_dec()`` returning its decomposition when first needed.
+def _colour_parts(g, h, d, cap, sides):
+    """Colour and check each part of each side; the first certificate found is returned.
+
+    A side is a list of parts ``(tag, xs, get_dec)``: G[xs] is coloured by
+    one ``_Run``, with ``get_dec()`` returning its decomposition in g's ids
+    when first needed, and each of its scopes is prefixed with ``tag``.  Each
+    part is checked on its own, its dense colours 0..k-1 written from the
+    number of colours the earlier sides used.  The parts of a side are
+    pairwise non-adjacent and the sides share no colour, so no monochromatic
+    component leaves its part: the colouring's counts are maxima over the parts.
 
     The cluster check reads the width only for a cluster over d, the budget at width 0:
     d*w + d - w never decreases in w when d >= 1, so a cluster of at most d is within every width's.
     """
-    run = _Run(g, d, get_dec, cap)
-    cert = run.colour(h, xs, "", 0)
-    if cert is not None:
-        ok, why = verify_certificate(g, cert)
-        if not ok:
-            raise InternalConsistencyError(f"U_{{{h},{d}}} certificate invalid: {why}")
-        return cert
-    _assert_scope_locality(g, run.raw, run.scope)
-    colouring = make_colouring(g, run.raw, run.scope)
-    if colouring.num_colours > colour_budget(h):
-        raise InternalConsistencyError(f"{colouring.num_colours} colours exceed the budget {colour_budget(h)}")
-    if colouring.max_cluster > clustering_budget(d, 0):
-        budget = clustering_budget(d, max(get_dec().width, 0))
-        if colouring.max_cluster > budget:
-            raise InternalConsistencyError(f"cluster of {colouring.max_cluster} exceeds the budget {budget}")
-    return colouring
+    colour, scope, num_colours, max_cluster = {}, {}, 0, 0
+    for parts in sides:
+        base = num_colours
+        for tag, xs, get_dec in parts:
+            run = _Run(g, d, get_dec, cap)
+            cert = run.colour(h, xs, "", 0)
+            if cert is not None:
+                ok, why = verify_certificate(g, cert)
+                if not ok:
+                    raise InternalConsistencyError(f"U_{{{h},{d}}} certificate invalid: {why}")
+                return cert
+            _assert_scope_locality(g, run.raw, run.scope)
+            part = make_colouring(g, run.raw, run.scope)
+            if part.num_colours > colour_budget(h):
+                raise InternalConsistencyError(f"{part.num_colours} colours exceed the budget {colour_budget(h)}")
+            if part.max_cluster > clustering_budget(d, 0):
+                budget = clustering_budget(d, max(get_dec().width, 0))
+                if part.max_cluster > budget:
+                    raise InternalConsistencyError(f"cluster of {part.max_cluster} exceeds the budget {budget}")
+            colour.update({v: base + c for v, c in part.colour.items()} if base else part.colour)
+            scope.update({v: tag + s for v, s in part.scope.items()} if tag else part.scope)
+            num_colours = max(num_colours, base + part.num_colours)
+            max_cluster = max(max_cluster, part.max_cluster)
+    return Colouring(colour, num_colours, max_cluster, scope)
 
 
 def _assert_scope_locality(g, raw, scope):
@@ -361,37 +384,32 @@ class _Run:
 def colour_pipeline(g, pattern_graph, partition=None, *, cap=FIND_MODEL_CAP):
     """Colour g against the excluded pattern H: h = ctd(H), d = |V(H)|.
 
-    Without a partition the graph is decomposed directly (exact when small
-    enough, min-fill otherwise) and coloured with at most f(h) colours.
-    With a red/blue partition covering V(G), each monochromatic component
-    is coloured separately, red components on palette [0, f(h)) and blue
-    components on [f(h), 2*f(h)), for at most 3*2^h - 4 colours total.
-    A certificate from any component is reported at the U_{h,d} level.
+    Without a partition the graph is one part, decomposed (exact when small
+    enough, min-fill otherwise) only if a layer region or the cluster check
+    needs it, and coloured with at most f(h) colours.  With a red/blue
+    partition covering V(G), each monochromatic component is a part of its
+    side, red components on palette [0, f(h)) and blue components on the
+    colours after the red ones, for at most 3*2^h - 4 colours total.  A
+    certificate from any part is reported at the U_{h,d} level.
     """
     h, _ = treedepth.connected_tree_depth(pattern_graph)
     d = pattern_graph.n
     if partition is None:
-        return colour_bounded_tw(g, h, d, decompose(g), cap=cap)
+        whole = ("", frozenset(range(g.n)), functools.cache(functools.partial(decompose, g)))
+        return _colour_parts(g, h, d, cap, [[whole]])
 
     partition = list(partition)
     if len(partition) != g.n or set(partition) - {"r", "b"}:
         raise ValueError("partition must assign 'r' or 'b' to every vertex")
-    f_h = colour_budget(h)
-    raw = {}
-    scope = {}
-    for side, offset in (("r", 0), ("b", f_h)):
-        side_vertices = [v for v in range(g.n) if partition[v] == side]
-        for ci, comp in enumerate(connected_components(g, side_vertices)):
-            @functools.cache
-            def get_dec(comp=comp):
-                gcomp, comp_map = induced_subgraph(g, comp)
-                dec = decompose(gcomp)
-                return TreeDecomposition(dec.parent, [[comp_map[v] for v in bag] for bag in dec.bags])
+    # a generator: the blue components are found only after every red part is coloured
+    sides = ([(f"{side}{ci}:", frozenset(comp), functools.cache(functools.partial(_decompose_induced, g, comp)))
+              for ci, comp in enumerate(connected_components(g, [v for v in range(g.n) if partition[v] == side]))]
+             for side in "rb")
+    return _colour_parts(g, h, d, cap, sides)
 
-            out = _colour_checked(g, h, d, get_dec, cap, frozenset(comp))
-            if isinstance(out, OddModelCertificate):
-                return out
-            for v, col in out.colour.items():
-                raw[v] = offset + col
-                scope[v] = f"{side}{ci}:{out.scope[v]}"
-    return make_colouring(g, raw, scope)
+
+def _decompose_induced(g, xs):
+    """A decomposition of G[xs] in g's ids: the copy G[xs] is decomposed and its bags mapped back."""
+    sub, sub_map = induced_subgraph(g, xs)
+    dec = decompose(sub)
+    return TreeDecomposition(dec.parent, [[sub_map[v] for v in bag] for bag in dec.bags])

@@ -530,6 +530,93 @@ class TestComponentDecompositionOnDemand:
         assert 0 < len(copied) < components
 
 
+class TestOneCheckedLoop:
+    """``colour_pipeline`` colours and checks its parts in the loop ``colour_bounded_tw`` runs on one part."""
+
+    PATTERNS = {"K3": complete_graph(3), "P4": path_graph(4), "K4": complete_graph(4), "P3": path_graph(3)}
+
+    @staticmethod
+    def graphs():
+        # most of the partial k-trees have several components; P3 (h = 2)
+        # finds certificates in some, K3, P4 and K4 (h = 3 or 4) colour them
+        rng = random.Random(1931)
+        yield from (Graph(0), Graph(1), Graph(7, [(0, 1), (2, 3), (3, 4)]))
+        for seed in range(60):
+            yield random_partial_ktree(rng.randint(10, 40), rng.randint(1, 3), seed, edge_keep=rng.uniform(0.5, 0.9))
+
+    def test_without_a_partition_same_result_as_colouring_the_decomposed_graph(self):
+        # one part, every vertex, tagged "": the colours, the scopes and
+        # their order, the counts and the certificates all as the whole
+        # graph's colour_bounded_tw gives them
+        arms, disconnected = Counter(), 0
+        for g in self.graphs():
+            disconnected += len(connected_components(g, range(g.n))) > 1
+            for pattern in self.PATTERNS.values():
+                h, d = connected_tree_depth(pattern)[0], pattern.n
+                want = _outcome(colour_bounded_tw, g, h, d, decompose(g))
+                assert_same_outcome(_outcome(colour_pipeline, g, pattern), want)
+                arms[want.__name__ if isinstance(want, type) else type(want).__name__] += 1
+        assert disconnected > 30
+        assert arms["Colouring"] > 150 and arms["OddModelCertificate"] > 10, arms
+
+    def test_a_side_left_empty_same_result_as_decomposing_every_component(self):
+        # all red or all blue: the one side's colours start at 0 either way
+        arms = Counter()
+        for g in self.graphs():
+            for side in "rb":
+                for pattern in self.PATTERNS.values():
+                    want = _outcome(eager_colour_pipeline, g, pattern, side * g.n)
+                    assert_same_outcome(_outcome(colour_pipeline, g, pattern, side * g.n), want)
+                    arms[side, type(want).__name__] += 1
+        assert all(arms[side, "Colouring"] > 150 and arms[side, "OddModelCertificate"] > 10 for side in "rb"), arms
+
+
+class TestGraphDecompositionOnDemand:
+    """Without a partition the pipeline decomposes g, at most once and uncopied, only when it is needed."""
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("the graph was decomposed or copied")
+
+    def test_a_grid_is_neither_decomposed_nor_copied(self, monkeypatch):
+        # no layer region of a grid holds an odd U_{2,3}-model, and no cluster exceeds d
+        monkeypatch.setattr(colouring, "decompose", self.refuse)
+        monkeypatch.setattr(colouring, "induced_subgraph", self.refuse)
+        k = 60
+        rows = [(v, v + 1) for v in range(k * k) if (v + 1) % k]
+        grid = Graph(k * k, rows + [(v, v + k) for v in range(k * k - k)])
+        out = colour_pipeline(grid, complete_graph(3))
+        assert isinstance(out, colouring.Colouring)
+        ok, why = verify_colouring(grid, out, colour_budget(3), clustering_budget(3, 0))
+        assert ok, why
+
+    def test_a_model_holding_layer_decomposes_the_graph_once(self, monkeypatch):
+        # two disjoint copies of a partial 3-tree, each with a layer region
+        # holding an odd U_{2,3}-model: both regions restrict g's one
+        # decomposition, and a cluster over d reads its width
+        one = random_partial_ktree(20, 3, 7)
+        g = Graph(2 * one.n, [*one.edges, *((a + one.n, b + one.n) for a, b in one.edges)])
+        decomposed, restricted = [], []
+        real_decompose, restrict = colouring.decompose, colouring.restrict_decomposition
+
+        def decomposing(graph):
+            decomposed.append(graph)
+            return real_decompose(graph)
+
+        def restricting(dec, xs):
+            restricted.append(dec)
+            return restrict(dec, xs)
+
+        monkeypatch.setattr(colouring, "decompose", decomposing)
+        monkeypatch.setattr(colouring, "restrict_decomposition", restricting)
+        monkeypatch.setattr(colouring, "induced_subgraph", self.refuse)
+        out = colour_pipeline(g, complete_graph(3))
+        assert len(decomposed) == 1 and decomposed[0] is g
+        assert len(restricted) == 2 and restricted[0] is restricted[1]
+        assert out.max_cluster > 3
+        assert_same_outcome(out, colour_bounded_tw(g, 3, 3, real_decompose(g)))
+
+
 def ladder(length):
     """Triangulated 2 x ``length`` strip listed in path order (treewidth 2)."""
     edges = []
@@ -1041,11 +1128,14 @@ class TestNoCyclicGarbage:
         assert gc.collect() == 0
 
     def test_colour_pipeline(self, collector_off):
+        # without a partition too: once with no decomposition needed, once
+        # with the cached getter decomposing g for a model-holding layer
         g = random_partial_ktree(30, 2, 1)
-        partition = ["rb"[v % 3 == 0] for v in range(g.n)]
-        gc.collect()
-        assert not isinstance(colour_pipeline(g, complete_graph(3), partition), OddModelCertificate)
-        assert gc.collect() == 0
+        cases = [(g, ["rb"[v % 3 == 0] for v in range(g.n)]), (g, None), (random_partial_ktree(20, 3, 7), None)]
+        for g, partition in cases:
+            gc.collect()
+            assert not isinstance(colour_pipeline(g, complete_graph(3), partition), OddModelCertificate)
+            assert gc.collect() == 0
 
 
 def reference_colour_bounded_tw(g, h, d, dec, cap=colouring.FIND_MODEL_CAP):
@@ -1126,9 +1216,9 @@ def _reference_component(g, h, d, dec, cap, comp, prefix):
     return raw, scope
 
 
-def _outcome(run, g, h, d, dec, cap):
+def _outcome(run, *args):
     try:
-        return run(g, h, d, dec, cap)
+        return run(*args)
     except (InternalConsistencyError, ResourceLimitError) as exc:
         return type(exc)
 
