@@ -56,7 +56,7 @@ even-layer and an odd-layer subpalette of size f(h-1)+1 each; within a
 subpalette the last index is the hitting-set colour and the first f(h-1)
 feed the recursion.  Layers two apart are non-adjacent, so reusing a
 subpalette across same-parity layers cannot merge monochromatic components;
-this is asserted, not assumed.
+this is asserted, not assumed, by ``make_colouring`` as it sizes each part's clusters.
 """
 
 import functools
@@ -131,20 +131,32 @@ class OddModelCertificate:
 
 
 def make_colouring(g, raw_colour, scope=None):
-    """Compact raw colour ids to dense 0..k-1 and recompute the cluster size."""
+    """Compact raw colour ids to dense 0..k-1 and size the largest cluster, in one walk.
+
+    Given each vertex's recursion ``scope``, the walk also checks that each cluster lies in one
+    scope, or raises InternalConsistencyError naming the least monochromatic edge across two.
+    """
     used = sorted(set(raw_colour.values()))
     dense = {c: i for i, c in enumerate(used)}
     colour = {v: dense[c] for v, c in raw_colour.items()}
+    clusters = _monochromatic_sets(g, colour)
+    if scope is not None:
+        clusters = _in_one_scope(g, scope, clusters)
     return Colouring(
         colour=colour,
         num_colours=len(used),
-        max_cluster=max_monochromatic_component(g, colour),
+        max_cluster=max(map(len, clusters), default=0),
         scope={} if scope is None else scope,
     )
 
 
-def max_monochromatic_component(g, colour):
-    return max(map(len, _monochromatic_sets(g, colour)), default=0)
+def _in_one_scope(g, scope, clusters):
+    """Pass on each monochromatic component once it is seen to lie in one scope; one vertex does."""
+    for comp in clusters:
+        if len(comp) > 1 and len({scope[v] for v in comp}) > 1:
+            a, b = min((a, b) for a in comp for b in g.adj[a] & comp if a < b and scope[a] != scope[b])
+            raise InternalConsistencyError(f"monochromatic edge ({a},{b}) joins scopes {scope[a]!r} and {scope[b]!r}")
+        yield comp
 
 
 def monochromatic_components(g, colour):
@@ -261,7 +273,6 @@ def _colour_parts(g, h, d, cap, sides):
                 if not ok:
                     raise InternalConsistencyError(f"U_{{{h},{d}}} certificate invalid: {why}")
                 return cert
-            _assert_scope_locality(g, run.raw, run.scope)
             part = make_colouring(g, run.raw, run.scope)
             if part.num_colours > colour_budget(h):
                 raise InternalConsistencyError(f"{part.num_colours} colours exceed the budget {colour_budget(h)}")
@@ -274,18 +285,6 @@ def _colour_parts(g, h, d, cap, sides):
             num_colours = max(num_colours, base + part.num_colours)
             max_cluster = max(max_cluster, part.max_cluster)
     return Colouring(colour, num_colours, max_cluster, scope)
-
-
-def _assert_scope_locality(g, raw, scope):
-    # every monochromatic component must sit inside a single layer of a
-    # single recursion scope; same-parity palette reuse relies on this.  A
-    # component lies in one scope iff each of its edges does.
-    for a in raw:
-        for b in g.adj[a]:
-            if a < b and b in raw and raw[a] == raw[b] and scope[a] != scope[b]:
-                raise InternalConsistencyError(
-                    f"monochromatic edge ({a},{b}) joins scopes {scope[a]!r} and {scope[b]!r}"
-                )
 
 
 class _Run:

@@ -9,7 +9,8 @@ forest and the complete d-ary tree that ``u_graph`` is checked against, a
 forest's children lists, the parity test of a branch-set colouring,
 triangulated strips, seeded relabellings, the set-based odd-model search
 that the bitmask search replaced, the pipeline that decomposes every
-monochromatic component up front and a colour run's layer oracle) are used
+monochromatic component up front, a colour run's layer oracle and the
+edge scan that ``make_colouring``'s scope check is checked against) are used
 only by the tests, so they live here rather than in the library.  A rooted
 forest is a parent array, as the tree-depth witnesses are: ``parent[v]`` is v's parent, -1 at a
 root.
@@ -34,7 +35,7 @@ from oddcluster import (
     make_colouring,
 )
 from oddcluster.decomposition import decompose
-from oddcluster.errors import ResourceLimitError
+from oddcluster.errors import InternalConsistencyError, ResourceLimitError
 from oddcluster.graph import bfs_tree
 from oddcluster.treedepth import U_GRAPH_VERTEX_CAP
 
@@ -498,3 +499,16 @@ def eager_colour_pipeline(g, pattern_graph, partition, cap=24):
 def layer_oracle(g, pattern, cap):
     """The layer oracle a colour run of g with search cap ``cap`` asks, ``oracle(region)``, with a memo of its own."""
     return functools.partial(colouring._Run(g, None, None, cap).oracle, pattern, {})
+
+
+def assert_scope_locality(g, raw, scope):
+    """The edge scan: raise if a monochromatic edge joins two scopes.
+
+    A monochromatic component lies in one scope iff each of its edges does.
+    """
+    for a in raw:
+        for b in g.adj[a]:
+            if a < b and b in raw and raw[a] == raw[b] and scope[a] != scope[b]:
+                raise InternalConsistencyError(
+                    f"monochromatic edge ({a},{b}) joins scopes {scope[a]!r} and {scope[b]!r}"
+                )

@@ -31,7 +31,7 @@ from oddcluster import (
     verify_odd_witness,
 )
 from oddcluster import colouring
-from oddcluster.colouring import _assert_scope_locality, monochromatic_components
+from oddcluster.colouring import make_colouring, monochromatic_components
 from oddcluster.decomposition import TreeDecomposition, decompose, restrict_decomposition
 from oddcluster.eposa import Dichotomy, Target, disjoint_or_hitting
 from oddcluster.errors import InternalConsistencyError, ResourceLimitError
@@ -43,6 +43,7 @@ from oddcluster.generators import (
 )
 from conftest import (
     _components,
+    assert_scope_locality,
     check_layered_tree,
     eager_colour_pipeline,
     empty_graph,
@@ -93,13 +94,16 @@ class TestBudgets:
 class TestScopeLocality:
     def test_monochromatic_edge_across_scopes_raises(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        _assert_scope_locality(g, {0: 0, 1: 0, 2: 1}, {0: "a", 1: "a", 2: "b"})
-        with pytest.raises(InternalConsistencyError, match="joins scopes"):
-            _assert_scope_locality(g, {0: 0, 1: 1, 2: 1}, {0: "a", 1: "a", 2: "b"})
+        assert make_colouring(g, {0: 0, 1: 0, 2: 1}, {0: "a", 1: "a", 2: "b"}).max_cluster == 2
+        with pytest.raises(InternalConsistencyError, match=r"edge \(1,2\) joins scopes 'a' and 'b'"):
+            make_colouring(g, {0: 0, 1: 1, 2: 1}, {0: "a", 1: "a", 2: "b"})
 
     def test_same_verdict_as_component_scopes(self):
-        # the edge scan must raise exactly when a monochromatic component spans two scopes
+        # the check on the cluster walk must raise exactly when the edge scan
+        # does, and when a monochromatic component spans two scopes, naming
+        # a monochromatic edge across two
         rng = random.Random(11)
+        raised = 0
         for _ in range(300):
             n = rng.randint(1, 12)
             edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.25]
@@ -110,11 +114,21 @@ class TestScopeLocality:
                 len({scope[v] for v in comp}) > 1 for comp in monochromatic_components(g, raw)
             )
             try:
-                _assert_scope_locality(g, raw, scope)
-                raised = False
+                assert_scope_locality(g, raw, scope)
+                scanned = False
             except InternalConsistencyError:
-                raised = True
-            assert raised == spans
+                scanned = True
+            try:
+                walked = make_colouring(g, raw, scope)
+            except InternalConsistencyError as e:
+                a, b = map(int, str(e).split("(")[1].split(")")[0].split(","))
+                assert g.has_edge(a, b) and raw[a] == raw[b] and scope[a] != scope[b]
+                walked = None
+                raised += 1
+            assert scanned == spans == (walked is None)
+            if walked is not None:
+                assert walked.max_cluster == make_colouring(g, raw).max_cluster
+        assert 50 < raised < 250
 
 
 class TestBaseCase:
@@ -999,6 +1013,17 @@ class TestPostconditions:
         with pytest.raises(InternalConsistencyError, match="cluster of"):
             colour_pipeline(g, complete_graph(3), partition="rrrbbrrb")
 
+    def test_scope_locality(self, monkeypatch):
+        # one colour for every vertex merges clusters across layers; the scope
+        # check on the cluster walk trips before the cluster budget would
+        real = colouring._Run.paint
+        monkeypatch.setattr(colouring._Run, "paint", lambda run, vertices, colour, tag: real(run, vertices, 0, tag))
+        g = cycle_graph(8)
+        with pytest.raises(InternalConsistencyError, match="joins scopes"):
+            colour_bounded_tw(g, 2, 2, decompose(g))
+        with pytest.raises(InternalConsistencyError, match="joins scopes"):
+            colour_pipeline(g, complete_graph(3), partition="rrrrrrrb")
+
     def test_model_in_a_region_certified_clean(self, monkeypatch):
         # a dichotomy that hits nothing leaves layer 1 of the wheel, a path
         # on the rim, to the h-1 recursion, which finds an edge in it
@@ -1149,8 +1174,7 @@ def reference_colour_bounded_tw(g, h, d, dec, cap=colouring.FIND_MODEL_CAP):
     if isinstance(out, OddModelCertificate):
         return out
     raw, scope = out
-    _assert_scope_locality(g, raw, scope)
-    result = colouring.make_colouring(g, raw, scope)
+    result = colouring.make_colouring(g, raw, scope)  # checks scope locality too
     budgets = Budgets(h=h, d=d, w=max(dec.width, 0))
     if result.num_colours > budgets.colours or result.max_cluster > budgets.clustering:
         raise InternalConsistencyError("over budget")

@@ -13,7 +13,7 @@ from oddcluster import (
     induced_subgraph,
     u_graph,
 )
-from oddcluster.colouring import max_monochromatic_component, monochromatic_components
+from oddcluster.colouring import make_colouring, monochromatic_components
 from oddcluster import graph as graph_module
 from oddcluster.errors import ResourceLimitError
 from oddcluster.graph import bfs_tree, components
@@ -384,14 +384,14 @@ class TestReachAgainstUnionFind:
             assert monochromatic_components(g, colour) == union_find_components(colour, mono)
 
     def test_largest_monochromatic_component(self):
-        # the size-only walk agrees with the largest listed component and with
+        # make_colouring's cluster walk agrees with the largest listed component and with
         # the falsifier's own walk, uncoloured vertices and the empty colouring included
-        assert max_monochromatic_component(path(3), {}) == 0
+        assert make_colouring(path(3), {}).max_cluster == 0
         for rng, g in sparse_graphs(41, 200):
             k = rng.randint(1, 4)
             share = rng.choice((1.0, 0.7, 0.3, 0.0))
             colour = {v: rng.randrange(k) for v in range(g.n) if rng.random() < share}
-            got = max_monochromatic_component(g, colour)
+            got = make_colouring(g, colour).max_cluster
             assert got == max((len(c) for c in monochromatic_components(g, colour)), default=0)
             assert got == max(map(len, oracles._monochromatic_components(g, colour)), default=0)
 
@@ -404,7 +404,7 @@ class TestReachAgainstUnionFind:
             assert xs == kept
             colour = {v: rng.randrange(3) for v in range(g.n) if rng.random() < 0.8}
             kept = dict(colour)
-            max_monochromatic_component(g, colour)
+            make_colouring(g, colour)
             monochromatic_components(g, colour)
             assert colour == kept
 

@@ -109,14 +109,12 @@ class TestMinColours:
 
 
 def _brute_min_colours(g, k):
-    from oddcluster.colouring import max_monochromatic_component
-
     if g.n == 0:
         return 0
     for c in range(1, g.n + 1):
         for assign in product(range(c), repeat=g.n):
             colour = dict(enumerate(assign))
-            if max_monochromatic_component(g, colour) <= k:
+            if make_colouring(g, colour).max_cluster <= k:
                 return c
     return g.n
 

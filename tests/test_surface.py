@@ -81,6 +81,8 @@ def test_exports_are_exactly_the_library_surface():
         (colouring, "_colour_component"),
         (colouring, "_component_oracle"),  # ``_Run.oracle`` is the layer oracle
         (colouring, "_may_hold_model"),
+        (colouring, "_assert_scope_locality"),  # ``make_colouring`` checks scope locality on its cluster walk
+        (colouring, "max_monochromatic_component"),  # ``make_colouring`` sizes the largest cluster
     ],
 )
 def test_test_only_helpers_stay_out_of_the_library(owner, name):
