@@ -74,15 +74,24 @@ def parse_partition(text, n):
 
 
 def forest_to_json(parent):
-    """A rooted forest on 0..n-1, given by its parent array (-1 at a root)."""
+    """A rooted forest on 0..n-1, given by its parent array (-1 at a root).
 
-    def height(v):  # the vertices from v up to its root
-        return 0 if v < 0 else 1 + height(parent[v])
-
+    Each vertex's height, the number of vertices from it up to its root, is
+    counted once: a walk up stops at the first vertex already counted.
+    """
+    height = {-1: 0}  # -1 stands above every root
+    for v in range(len(parent)):
+        path = []
+        while v not in height:
+            path.append(v)
+            v = parent[v]
+        for u in reversed(path):
+            height[u] = height[v] + 1
+            v = u
     return {
         "parent": list(parent),
         "roots": [v for v, p in enumerate(parent) if p == -1],
-        "vertex_height": max(map(height, range(len(parent))), default=0),
+        "vertex_height": max(height.values()),
     }
 
 

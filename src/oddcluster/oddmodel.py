@@ -177,14 +177,16 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
     witness, ``(Model, {covered vertex: 0 | 1})``, or ``None`` with an
     exhaustiveness guarantee.  Raises ResourceLimitError when the region
     exceeds the cap — callers rely on "None means none exists", so there is
-    no heuristic fallback.  Three answers come before the cap, for a region
+    no heuristic fallback.  Four answers come before the cap, for a region
     of any size: no model when the region has no room for ``pattern.n``
     branch sets (``room`` is the bound that ``_has_room`` asks each
     candidate set to leave for the sets after it); the empty model of the
-    empty pattern; and a non-trivial K_1, the region's least edge (a, b),
-    a the least vertex with a neighbour in the region and b its least such
-    neighbour, with witness {a: 1, b: 0}, the search's first model.  The
-    whole graph's region set, and the masks, are built only after the cap check.
+    empty pattern; a K_1, the region's least vertex a (vertex 0 of the whole
+    graph) with witness {a: 0}; and a non-trivial K_1, the region's least
+    edge (a, b), a the least vertex with a neighbour in the region and b its
+    least such neighbour, with witness {a: 1, b: 0}.  Each K_1 answer is the
+    search's first model.  The whole graph's region set, and the masks, are
+    built only after the cap check.
     """
     if region is None:  # the whole graph: room is counted on ``g.adj``, the set waits for the cap
         size = g.n
@@ -200,7 +202,10 @@ def find_odd_model(g, pattern, region=None, require_nontrivial=False, cap=FIND_M
         return None
     if not pattern.n:
         return _witness_search(g, pattern, [], {})
-    if require_nontrivial and pattern.n == 1:  # room >= 1: some region vertex has a neighbour in it
+    if pattern.n == 1 and not require_nontrivial:  # room >= 1: the least region vertex, alone
+        a = 0 if region is None else min(region_set)
+        return Model(pattern=pattern, branch_sets={0: (a,)}, branch_trees={0: ()}), {a: 0}
+    if pattern.n == 1:  # non-trivial, room >= 1: some region vertex has a neighbour in it
         if region is None:
             a = next(v for v, nbrs in enumerate(g.adj) if nbrs)
             b = min(g.adj[a])

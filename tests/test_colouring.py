@@ -25,6 +25,7 @@ from oddcluster import (
     heuristic_decomposition,
     induced_subgraph,
     is_nontrivial,
+    tree_depth,
     u_graph,
     verify_colouring,
     verify_model,
@@ -35,6 +36,7 @@ from oddcluster.colouring import make_colouring, monochromatic_components
 from oddcluster.decomposition import TreeDecomposition, decompose, restrict_decomposition
 from oddcluster.eposa import Dichotomy, Target, disjoint_or_hitting
 from oddcluster.errors import InternalConsistencyError, ResourceLimitError
+from oddcluster.io import forest_to_json
 from oddcluster.generators import (
     complete_graph,
     cycle_graph,
@@ -1144,6 +1146,12 @@ class TestNoCyclicGarbage:
         g = random_partial_ktree(16, 3, 1)
         gc.collect()
         assert find_odd_model(g, u_graph(2, 2), require_nontrivial=True) is not None
+        assert gc.collect() == 0
+
+    def test_forest_to_json(self, collector_off):
+        _, parent = tree_depth(cycle_graph(8))
+        gc.collect()
+        assert forest_to_json(parent)["vertex_height"] == 4
         assert gc.collect() == 0
 
     def test_colour_bounded_tw(self, collector_off):

@@ -39,7 +39,7 @@ from oddcluster.io import (
     parse_partition,
     serialize_graph,
 )
-from conftest import path_graph, random_graph
+from conftest import forest_height, path_graph, random_graph
 
 
 class TestGraphFormat:
@@ -109,6 +109,17 @@ class TestJsonRoundTrips:
         data = forest_to_json(parent)
         assert data["parent"] == parent and data["vertex_height"] == 3
         assert data["roots"] == [v for v, p in enumerate(parent) if p == -1]
+
+    def test_forest_height_is_the_longest_root_path(self):
+        # parents on either side of their children
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(0, 40)
+            order = rng.sample(range(n), n)
+            parent = [-1] * n
+            for i, v in enumerate(order[1:], 1):
+                parent[v] = rng.choice([-1, *order[max(0, i - 3):i]])
+            assert forest_to_json(parent)["vertex_height"] == forest_height(parent)
 
     def test_decomposition_json(self):
         g = cycle_graph(6)
@@ -230,6 +241,11 @@ class TestCli:
         ep = write("e60.txt", "p 60 0\n")
         code, out = run_cli(capsys, ["odd-minor", "--nontrivial", ep, hp])
         assert code == 1 and json.loads(out) == {"found": False}
+        # so is a trivial one, the least vertex, over the cap of 24 too
+        trivial = {"found": True, "branch_sets": [[0]], "tree_edges": [[]], "witness": {"0": 0}}
+        for path in (write("c30.txt", run_cli(capsys, ["gen", "cycle", "--n", "30"])[1]), write("e30.txt", "p 30 0\n")):
+            code, out = run_cli(capsys, ["odd-minor", path, hp])
+            assert code == 0 and json.loads(out) == trivial
 
     def test_colour_ok(self, capsys, write):
         gp = write("g.txt", serialize_graph(cycle_graph(6)))
