@@ -134,7 +134,7 @@ def make_colouring(g, raw_colour, scope=None):
     """Compact raw colour ids to dense 0..k-1 and size the largest cluster, in one walk.
 
     Given each vertex's recursion ``scope``, the walk also checks that each cluster lies in one
-    scope, or raises InternalConsistencyError naming the least monochromatic edge across two.
+    scope, or raises InternalConsistencyError naming the least of its edges that joins two.
     """
     used = sorted(set(raw_colour.values()))
     dense = {c: i for i, c in enumerate(used)}

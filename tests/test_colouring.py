@@ -2,6 +2,7 @@ import functools
 import gc
 import inspect
 import random
+import re
 import sys
 from collections import Counter
 
@@ -123,7 +124,7 @@ class TestScopeLocality:
             try:
                 walked = make_colouring(g, raw, scope)
             except InternalConsistencyError as e:
-                a, b = map(int, str(e).split("(")[1].split(")")[0].split(","))
+                a, b = map(int, re.search(r"edge \((\d+),(\d+)\)", str(e)).groups())
                 assert g.has_edge(a, b) and raw[a] == raw[b] and scope[a] != scope[b]
                 walked = None
                 raised += 1
